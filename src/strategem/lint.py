@@ -1,12 +1,12 @@
 """Static checks on strategies: left recursion and shared first rules.
 
 Left recursion matters because splitting a left-recursive strategy would loop
-before ever producing an atom. The detector has two modes. The transparent
-mode is conservative: rules that only touch the environment or move the focus
-without guaranteed structural descent are treated as free, so a recursion
-guarded only by such rules is still flagged. The opaque mode treats every
-atom as consumption and flags only recursion reachable through genuinely
-empty prefixes.
+before ever producing an atom. The detector flags a binder whose variable is
+reachable after a prefix that can finish on free atoms alone
+(strategy.passable). The transparent mode is conservative: checks and minor
+rules without guaranteed structural descent are free, so a recursion guarded
+only by them is still flagged. The opaque mode frees no atom, like strict
+nullability. Every variable counts as failing, bound or not.
 
 The left-factor check warns when both branches of a choice can open with the
 same major rule, which makes the step machinery explore both branches for
@@ -17,7 +17,6 @@ by a check only runs when the shared prefix fails, so it cannot race it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .strategy import (
@@ -32,9 +31,10 @@ from .strategy import (
     Succeed,
     Var,
     children_of,
-    default_budget_limit,
+    enter_rule,
+    nothing_free,
+    passable,
     walk,
-    with_step_budget,
 )
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "detect_left_recursion",
     "detect_left_factors",
     "lint_strategy",
-    "with_step_budget",
-    "default_budget_limit",
 ]
 
 MODES = ("transparent", "opaque")
@@ -74,51 +72,32 @@ def _check_mode(mode: str) -> None:
         raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
 
 
-@lru_cache(maxsize=None)
-def _passable(node: Strategy, mode: str, assumed: frozenset) -> bool:
-    # can this strategy succeed while consuming nothing the mode counts?
-    t = type(node)
-    if t is Succeed:
-        return True
-    if t is Fail:
-        return False
-    if t is Rule:
-        if mode == "opaque":
-            return False
-        return node.rule.minor and not node.rule.progress
-    if t is Check:
-        return mode == "transparent"
-    if t is Seq:
-        return _passable(node.left, mode, assumed) and _passable(node.right, mode, assumed)
-    if t is Choice:
-        return _passable(node.left, mode, assumed) or _passable(node.right, mode, assumed)
-    if t is Label:
-        return mode == "transparent" and _passable(node.body, mode, assumed)
-    if t is Rec:
-        return _passable(node.body, mode, assumed | {node.var})
-    if t is Var:
-        return False  # least fixed point assumption
-    raise TypeError("not a strategy node: %r" % (node,))
+def _unguarded_free(atom: Strategy) -> bool:
+    # transparent mode: what may run without guaranteed structural descent
+    return type(atom) is Check or (atom.rule.minor and not atom.rule.progress)
 
 
-def _reaches_var(node: Strategy, var: str, mode: str) -> bool:
+_FREE = {"transparent": _unguarded_free, "opaque": nothing_free}
+
+
+def _reaches_var(node: Strategy, var: str, free, names: frozenset) -> bool:
     # is Var(var) reachable at the leftmost consumable position?
     t = type(node)
     if t is Var:
         return node.name == var
     if t is Seq:
-        if _reaches_var(node.left, var, mode):
+        if _reaches_var(node.left, var, free, names):
             return True
-        return _passable(node.left, mode, frozenset()) and _reaches_var(node.right, var, mode)
+        return passable(node.left, free, names) and _reaches_var(node.right, var, free, names)
     if t is Choice:
-        return _reaches_var(node.left, var, mode) or _reaches_var(node.right, var, mode)
+        return (_reaches_var(node.left, var, free, names)
+                or _reaches_var(node.right, var, free, names))
     if t is Label:
-        # entering a label is free in transparent mode, an atom in opaque mode
-        return mode == "transparent" and _reaches_var(node.body, var, mode)
+        return free(Rule(enter_rule(node.name))) and _reaches_var(node.body, var, free, names)
     if t is Rec:
         if node.var == var:  # inner binder shadows the variable we track
             return False
-        return _reaches_var(node.body, var, mode)
+        return _reaches_var(node.body, var, free, names)
     # rule atoms consume, checks are opaque atoms, units reach nothing
     return False
 
@@ -127,9 +106,12 @@ def detect_left_recursion(s: Strategy, mode: str = "transparent") -> tuple:
     """Findings for every recursion binder its own variable can re-enter
     before anything was consumed."""
     _check_mode(mode)
+    free = _FREE[mode]
+    # binding every variable name makes each variable fail, never raise
+    names = frozenset(node.name for _, node in walk(s) if type(node) is Var)
     findings = []
     for path, node in walk(s):
-        if type(node) is Rec and _reaches_var(node.body, node.var, mode):
+        if type(node) is Rec and _reaches_var(node.body, node.var, free, names):
             findings.append(LintFinding(
                 kind="LeftRecursion",
                 path=path,

@@ -272,9 +272,34 @@ def norm_power(e: Expr) -> Expr:
     raise TypeError("not a power expression: %r" % (e,))
 
 
+def _exponents(e: Expr) -> dict:
+    # each variable's total exponent in e, zero totals dropped
+    total: dict = {}
+    stack = [(e, 1)]
+    while stack:
+        node, k = stack.pop()
+        t = type(node)
+        if t is Var:
+            total[node.name] = total.get(node.name, 0) + k
+        elif t is Power:
+            stack.append((node.base, k * node.exponent))
+        elif t is Mul:
+            stack.append((node.left, k))
+            stack.append((node.right, k))
+        elif t is Recip:
+            stack.append((node.arg, -k))
+        else:
+            raise TypeError("not a power expression: %r" % (node,))
+    return {name: n for name, n in total.items() if n}
+
+
 def eq_power(a: Expr, b: Expr) -> bool:
-    """Semantic equivalence: equal normal forms."""
-    return norm_power(a) == norm_power(b)
+    """Semantic equivalence: every variable has the same total exponent.
+
+    This is exact. Normal forms would not do, because norm_power leaves
+    a^2*b^2*a^2*b^2 and a^4*b^4 apart.
+    """
+    return _exponents(a) == _exponents(b)
 
 
 def sim_power(a: Expr, b: Expr) -> bool:

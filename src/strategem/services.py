@@ -74,13 +74,6 @@ class Candidate:
 
 
 @dataclass(frozen=True)
-class DerivationStep:
-    rule: RewriteRule
-    state: State
-    trace: tuple
-
-
-@dataclass(frozen=True)
 class Diagnosis:
     """Outcome of judging a submitted expression.
 
@@ -117,14 +110,10 @@ def _candidate_sort_key(exercise: Exercise, cand: Candidate):
 
 def allfirsts(exercise: Exercise, state: State, budget: Budget = None) -> List[Candidate]:
     """Every admissible next big step, canonically ordered."""
-    budget = budget if budget is not None else Budget()
-    seen = {}
-    for rule, end, trace in big_step_traced(state, budget):
-        key = (rule, end)
-        best = seen.get(key)
-        if best is None or (len(trace), trace) < (len(best.trace), best.trace):
-            seen[key] = Candidate(rule, end, trace)
-    return sorted(seen.values(), key=lambda c: _candidate_sort_key(exercise, c))
+    # big_step_traced already keeps one shortest trace per (rule, end state)
+    candidates = [Candidate(rule, end, trace)
+                  for rule, end, trace in big_step_traced(state, budget)]
+    return sorted(candidates, key=lambda c: _candidate_sort_key(exercise, c))
 
 
 def onefirst(exercise: Exercise, state: State, budget: Budget = None) -> Candidate:
@@ -139,7 +128,7 @@ def onefirst(exercise: Exercise, state: State, budget: Budget = None) -> Candida
     return candidates[0]
 
 
-def derivation(exercise: Exercise, state: State, budget: Budget = None) -> List[DerivationStep]:
+def derivation(exercise: Exercise, state: State, budget: Budget = None) -> List[Candidate]:
     """A worked solution: repeatedly take the onefirst candidate.
 
     Returns the empty list when the state can already finish on minor rules
@@ -147,7 +136,7 @@ def derivation(exercise: Exercise, state: State, budget: Budget = None) -> List[
     finished either.
     """
     budget = budget if budget is not None else Budget()
-    steps: List[DerivationStep] = []
+    steps: List[Candidate] = []
     current = state
     while True:
         candidates = allfirsts(exercise, current, budget)
@@ -158,9 +147,8 @@ def derivation(exercise: Exercise, state: State, budget: Budget = None) -> List[
                 "no step from %r and the strategy is unfinished"
                 % print_focus(current)
             )
-        best = candidates[0]
-        steps.append(DerivationStep(best.rule, best.state, best.trace))
-        current = best.state
+        steps.append(candidates[0])
+        current = candidates[0].state
 
 
 def print_focus(state: State) -> str:

@@ -398,28 +398,48 @@ APP_CHECK = RewriteRule(
 
 
 # ---------------------------------------------------------------------------
-# nullability analyses
+# emptiness analysis
+#
+# One least fixed point answers "can s finish on these atoms alone?". The
+# caller says which atoms are free, and a label counts as its Enter atom.
+# nullable frees no atom, accepts_empty frees checks and minor rules, and
+# lint's transparent mode frees checks and non-progressing minor rules.
+
+def nothing_free(atom: Strategy) -> bool:
+    """Free-atom predicate of strict nullability: every atom consumes."""
+    return False
+
+
+def _minor_free(atom: Strategy) -> bool:
+    """Free-atom predicate of accepts_empty: checks and minor rules."""
+    return type(atom) is Check or atom.rule.minor
+
 
 @lru_cache(maxsize=None)
-def _nullable(s: Strategy, assumed: frozenset) -> bool:
-    # strict nullability: the empty sentence is in the language
+def passable(s: Strategy, free: Callable[[Strategy], bool], bound: frozenset) -> bool:
+    """True iff the language of s has a sentence made only of atoms free accepts.
+
+    A Rec body is evaluated once with its variable in bound, assumed
+    impassable; the equation is monotone, so one pass gives the least fixed
+    point. A variable outside bound raises ValueError.
+    """
     t = type(s)
     if t is Succeed:
         return True
-    if t is Fail or t is Rule or t is Check or t is Label:
-        # labels expand to Enter/Leave atoms, so a labeled strategy never
-        # derives the genuinely empty sentence
+    if t is Fail:
         return False
+    if t is Rule or t is Check:
+        return free(s)
+    if t is Label:
+        return free(Rule(enter_rule(s.name))) and passable(s.body, free, bound)
     if t is Seq:
-        return _nullable(s.left, assumed) and _nullable(s.right, assumed)
+        return passable(s.left, free, bound) and passable(s.right, free, bound)
     if t is Choice:
-        return _nullable(s.left, assumed) or _nullable(s.right, assumed)
+        return passable(s.left, free, bound) or passable(s.right, free, bound)
     if t is Rec:
-        # least fixed point: one iteration from the all-False assumption is
-        # exact for a monotone boolean equation
-        return _nullable(s.body, assumed | {s.var})
+        return passable(s.body, free, bound | {s.var})
     if t is Var:
-        if s.name in assumed:
+        if s.name in bound:
             return False
         raise ValueError("unbound strategy variable %r" % s.name)
     raise TypeError("not a strategy node: %r" % (s,))
@@ -427,33 +447,7 @@ def _nullable(s: Strategy, assumed: frozenset) -> bool:
 
 def nullable(s: Strategy) -> bool:
     """True iff the empty sentence is in the language of s."""
-    return _nullable(s, frozenset())
-
-
-@lru_cache(maxsize=None)
-def _accepts_empty(s: Strategy, assumed: frozenset) -> bool:
-    t = type(s)
-    if t is Succeed or t is Check:
-        # a lone check is an all-minor sentence (it consumes no major)
-        return True
-    if t is Fail:
-        return False
-    if t is Rule:
-        return s.rule.minor
-    if t is Label:
-        # Enter and Leave are minor, so only the body matters
-        return _accepts_empty(s.body, assumed)
-    if t is Seq:
-        return _accepts_empty(s.left, assumed) and _accepts_empty(s.right, assumed)
-    if t is Choice:
-        return _accepts_empty(s.left, assumed) or _accepts_empty(s.right, assumed)
-    if t is Rec:
-        return _accepts_empty(s.body, assumed | {s.var})
-    if t is Var:
-        if s.name in assumed:
-            return False
-        raise ValueError("unbound strategy variable %r" % s.name)
-    raise TypeError("not a strategy node: %r" % (s,))
+    return passable(s, nothing_free, frozenset())
 
 
 def accepts_empty(s: Strategy) -> bool:
@@ -462,7 +456,7 @@ def accepts_empty(s: Strategy) -> bool:
     This is the syntactic test; it ignores whether those minor atoms would
     actually execute from any particular state.
     """
-    return _accepts_empty(s, frozenset())
+    return passable(s, _minor_free, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +499,7 @@ def split(s: Strategy) -> tuple:
                 out.setdefault((node, cont))
             elif t is Seq:
                 # tail results (when the head is nullable) come after head results
-                if _nullable(node.left, frozenset()):
+                if nullable(node.left):
                     stack.append((node.right, cont, visiting))
                 stack.append((node.left, _seq_rest(node.right, cont), visiting))
             elif t is Choice:
@@ -546,7 +540,7 @@ def split_unguarded(s: Strategy, budget: Budget) -> tuple:
         if t is Rule or t is Check:
             out.setdefault((node, cont))
         elif t is Seq:
-            if _nullable(node.left, frozenset()):
+            if nullable(node.left):
                 stack.append((node.right, cont))
             stack.append((node.left, _seq_rest(node.right, cont)))
         elif t is Choice:
@@ -612,27 +606,18 @@ def step(state: State, budget: Budget = None) -> list:
 
 
 def _has_end_state(state: State, budget: Budget) -> bool:
-    # existence version of run: depth-first over step, stop at the first state
-    # whose remaining strategy is strictly nullable
-    seen = set()
-    stack = [state]
-    while stack:
-        st = stack.pop()
-        if st in seen:
-            continue
-        seen.add(st)
-        if _nullable(st.remaining, frozenset()):
-            return True
-        budget.tick()
-        for _, succ in step(st, budget):
-            if succ not in seen:
-                stack.append(succ)
-    return False
+    # existence version of run; step reaches it through this name per check
+    return _reaches_end(state, budget, minor_only=False)
 
 
 def has_minor_completion(state: State, budget: Budget = None) -> bool:
     """State-level emptiness: some minor-only path reaches a nullable remainder."""
-    budget = budget if budget is not None else Budget()
+    return _reaches_end(state, budget if budget is not None else Budget(), minor_only=True)
+
+
+def _reaches_end(state: State, budget: Budget, minor_only: bool) -> bool:
+    # depth-first over step, stop at the first state whose remaining strategy
+    # is strictly nullable
     seen = set()
     stack = [state]
     while stack:
@@ -640,11 +625,11 @@ def has_minor_completion(state: State, budget: Budget = None) -> bool:
         if st in seen:
             continue
         seen.add(st)
-        if _nullable(st.remaining, frozenset()):
+        if nullable(st.remaining):
             return True
         budget.tick()
         for r, succ in step(st, budget):
-            if r.minor and succ not in seen:
+            if (r.minor or not minor_only) and succ not in seen:
                 stack.append(succ)
     return False
 
@@ -665,7 +650,7 @@ def minor_sentences(state: State, budget: int = DEFAULT_MINOR_STEPS,
     stack = [(state, ())]
     while stack:
         st, sentence = stack.pop()
-        if _nullable(st.remaining, frozenset()):
+        if nullable(st.remaining):
             out.setdefault((sentence, st))
         minors = [(r, succ) for r, succ in step(st, sb) if r.minor]
         if minors and len(sentence) >= budget:

@@ -7,7 +7,15 @@ import pytest
 from strategem import services
 from strategem.exercise import UnknownCodeError, default_registry, power_exercise
 from strategem.navigation import UP, somewhere, unfocus
-from strategem.powers import ADD_EXP, DIST_EXP, MUL_EXP, RECI_EXP, parse, print_expr
+from strategem.powers import (
+    ADD_EXP,
+    DIST_EXP,
+    MUL_EXP,
+    RECI_EXP,
+    generate_power,
+    parse,
+    print_expr,
+)
 from strategem.services import (
     Diagnosis,
     InvalidLocationError,
@@ -17,7 +25,7 @@ from strategem.services import (
     ServiceError,
     StuckError,
 )
-from strategem.strategy import Rule, Seq, big_step, choice, repeat, seq
+from strategem.strategy import Budget, Rule, Seq, big_step, choice, repeat, seq
 
 EX = power_exercise()
 NESTED = parse("(a^3*a^4)^2")
@@ -129,6 +137,18 @@ def test_derivation_steps_are_linked_big_steps():
         assert (s.rule, s.state) in big_step(current)
         current = s.state
     assert services.ready(EX, current)
+
+
+@pytest.mark.parametrize("term, used", [
+    (NESTED, 145),
+    (parse("(a*b)^2*(a*b)^3*(a*b)^4*(a*b)^5*(a*b)^6"), 8_390),
+    (generate_power("hard", 0), 507),
+    (generate_power("hard", 1), 386),
+])
+def test_derivation_transition_counts_are_pinned(term, used):
+    budget = Budget()
+    services.derivation(EX, services.initial_state(EX, term), budget)
+    assert budget.used == used
 
 
 def test_derivation_of_a_finished_term_is_empty():

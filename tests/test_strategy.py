@@ -479,3 +479,13 @@ def test_split_atoms_are_firsts_of_the_language(s):
     # every bounded sentence starts with a split atom; the converse can fail
     # only because deeper sentences were cut off by the bound
     assert firsts <= atoms
+
+
+@settings(max_examples=200, deadline=None)
+@given(toy_strategies())
+def test_nullable_is_the_empty_sentence_in_the_language(s):
+    try:
+        lang = language_upto(s, max_len=0)
+    except BudgetExceededError:
+        return
+    assert nullable(s) == (() in lang)
