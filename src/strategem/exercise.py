@@ -8,7 +8,7 @@ maps exercise codes to descriptions and is built once at startup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import lint as lint_mod

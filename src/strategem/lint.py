@@ -17,7 +17,6 @@ by a check only runs when the shared prefix fails, so it cannot race it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .strategy import (
     Check,

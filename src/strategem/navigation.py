@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from .strategy import (
     Choice,

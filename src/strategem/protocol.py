@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from typing import Iterable, Optional, TextIO
+from typing import Optional, TextIO
 
 from . import services
 from .exercise import Exercise, Registry, UnknownCodeError, default_registry
@@ -41,7 +41,6 @@ from .services import (
     NoGeneratorError,
     NoStepAvailableError,
     RuleNotApplicableError,
-    ServiceError,
     StuckError,
 )
 from .strategy import (
@@ -298,7 +297,7 @@ def deserialize_state(wire, exercise: Exercise, budget: Budget = None):
     _require(isinstance(wire["expr"], str), "expr must be a string")
     _require(isinstance(wire["start"], str), "start must be a string")
     path = wire["path"]
-    _require(isinstance(path, list) and all(isinstance(i, int) and i >= 0 for i in path),
+    _require(isinstance(path, list) and all(type(i) is int and i >= 0 for i in path),
              "path must be a list of non-negative integers")
     trace = wire["trace"]
     _require(isinstance(trace, list) and all(isinstance(t, str) for t in trace),
@@ -380,7 +379,7 @@ def _error(code: str, message: str) -> str:
 
 
 def _location(raw) -> tuple:
-    _require(isinstance(raw, list) and all(isinstance(i, int) and i >= 0 for i in raw),
+    _require(isinstance(raw, list) and all(type(i) is int and i >= 0 for i in raw),
              "location must be a list of non-negative integers")
     return tuple(raw)
 
@@ -437,7 +436,7 @@ def _dispatch(service: str, request: dict, registry: Registry):
         difficulty = request.get("difficulty", "medium")
         seed = request.get("seed", 0)
         _require(isinstance(difficulty, str), "difficulty must be a string")
-        _require(isinstance(seed, int), "seed must be an integer")
+        _require(type(seed) is int, "seed must be an integer")
         try:
             state = services.generate(registry, exercise.code, difficulty, seed)
         except ValueError as exc:

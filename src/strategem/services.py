@@ -9,11 +9,10 @@ and separate processes produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List
 
 from .exercise import Exercise
 from .navigation import (
-    Zipper,
     apply_at,
     focus_at,
     focus_root,

@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional
 
-DEFAULT_MAX_LEN = 32
-DEFAULT_MAX_UNROLL = 8
 DEFAULT_STEP_BUDGET = 10_000
-DEFAULT_MINOR_STEPS = 32
-DEFAULT_NODE_BUDGET = 200_000
 
 BUDGET_ENV_VAR = "STRATEGEM_BUDGET"
 
@@ -402,17 +398,13 @@ APP_CHECK = RewriteRule(
 #
 # One least fixed point answers "can s finish on these atoms alone?". The
 # caller says which atoms are free, and a label counts as its Enter atom.
-# nullable frees no atom, accepts_empty frees checks and minor rules, and
-# lint's transparent mode frees checks and non-progressing minor rules.
+# nullable frees no atom, the test oracle accepts_empty (tests/support.py)
+# frees checks and minor rules, and lint's transparent mode frees checks and
+# non-progressing minor rules.
 
 def nothing_free(atom: Strategy) -> bool:
     """Free-atom predicate of strict nullability: every atom consumes."""
     return False
-
-
-def _minor_free(atom: Strategy) -> bool:
-    """Free-atom predicate of accepts_empty: checks and minor rules."""
-    return type(atom) is Check or atom.rule.minor
 
 
 @lru_cache(maxsize=None)
@@ -448,15 +440,6 @@ def passable(s: Strategy, free: Callable[[Strategy], bool], bound: frozenset) ->
 def nullable(s: Strategy) -> bool:
     """True iff the empty sentence is in the language of s."""
     return passable(s, nothing_free, frozenset())
-
-
-def accepts_empty(s: Strategy) -> bool:
-    """True iff the language of s has a sentence of minor atoms only.
-
-    This is the syntactic test; it ignores whether those minor atoms would
-    actually execute from any particular state.
-    """
-    return passable(s, _minor_free, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -523,37 +506,6 @@ def split(s: Strategy) -> tuple:
     result = tuple(out)
     _split_cache[s] = result
     return result
-
-
-def split_unguarded(s: Strategy, budget: Budget) -> tuple:
-    """split without the left-recursion guard, for demonstrating the time-out.
-
-    A left-recursive strategy makes this loop; the budget turns the loop into
-    a BudgetExceededError instead of a hang.
-    """
-    out: dict = {}
-    stack = [(s, SUCCEED)]
-    while stack:
-        budget.tick()
-        node, cont = stack.pop()
-        t = type(node)
-        if t is Rule or t is Check:
-            out.setdefault((node, cont))
-        elif t is Seq:
-            if nullable(node.left):
-                stack.append((node.right, cont))
-            stack.append((node.left, _seq_rest(node.right, cont)))
-        elif t is Choice:
-            stack.append((node.right, cont))
-            stack.append((node.left, cont))
-        elif t is Label:
-            enter = Rule(enter_rule(node.name))
-            out.setdefault((enter, _seq_rest(node.body, _seq_rest(Rule(leave_rule(node.name)), cont))))
-        elif t is Rec:
-            stack.append((unroll(node), cont))
-        elif t is Var:
-            raise ValueError("unbound strategy variable %r" % node.name)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -634,29 +586,31 @@ def _reaches_end(state: State, budget: Budget, minor_only: bool) -> bool:
     return False
 
 
-def minor_sentences(state: State, budget: int = DEFAULT_MINOR_STEPS,
-                    step_budget: Budget = None) -> tuple:
+def minor_sentences(state: State, budget: Budget = None) -> tuple:
     """All minor-only step sequences from state that end with a nullable remainder.
 
     Returns (sentence, end state) pairs where a sentence is a tuple of rule
     names (AppCheck included). The empty sentence pairs with the state itself
-    when its remaining strategy is already nullable. A minor-only path longer
-    than budget raises BudgetExceededError rather than truncating silently.
+    when its remaining strategy is already nullable. A path that returns to
+    one of its own states raises BudgetExceededError; the transitions step
+    charges to budget bound every other path.
     """
-    if budget <= 0:
-        raise ValueError("minor step budget must be positive, got %d" % budget)
-    sb = step_budget if step_budget is not None else Budget()
+    budget = budget if budget is not None else Budget()
     out: dict = {}
+    path: dict = {}  # the states of the path being extended, in order
     stack = [(state, ())]
     while stack:
         st, sentence = stack.pop()
+        while len(path) > len(sentence):
+            path.popitem()
+        if st in path:
+            raise BudgetExceededError(
+                "minor-only path returns to one of its states", trace=sentence
+            )
+        path[st] = None
         if nullable(st.remaining):
             out.setdefault((sentence, st))
-        minors = [(r, succ) for r, succ in step(st, sb) if r.minor]
-        if minors and len(sentence) >= budget:
-            raise BudgetExceededError(
-                "minor-only path exceeds %d steps" % budget, trace=sentence
-            )
+        minors = [(r, succ) for r, succ in step(st, budget) if r.minor]
         for r, succ in reversed(minors):
             stack.append((succ, sentence + (r.name,)))
     return tuple(out)
@@ -672,33 +626,24 @@ def big_step_traced(state: State, budget: Budget = None) -> list:
     when the post-major state has minor-only completions, each completion
     applied to the end ("trailing minor rules"). The trace lists every rule
     name along the way, minors and AppCheck included. Duplicate (rule, state)
-    results keep their shortest trace.
+    results keep their shortest trace. Each state of the minor closure is
+    stepped once, in breadth-first order.
     """
     budget = budget if budget is not None else Budget()
-
     prefixes = {state: ()}
-    order = [state]
     queue = deque([state])
+    results: dict = {}
     while queue:
         st = queue.popleft()
-        for r, succ in step(st, budget):
-            if r.minor and succ not in prefixes:
-                prefixes[succ] = prefixes[st] + (r.name,)
-                order.append(succ)
-                queue.append(succ)
-
-    results: dict = {}
-    for st in order:
         prefix = prefixes[st]
         for r, succ in step(st, budget):
             if r.minor:
+                if succ not in prefixes:
+                    prefixes[succ] = prefix + (r.name,)
+                    queue.append(succ)
                 continue
-            completions = minor_sentences(succ, step_budget=budget)
-            if completions:
-                finals = [(prefix + (r.name,) + sentence, end) for sentence, end in completions]
-            else:
-                finals = [(prefix + (r.name,), succ)]
-            for trace, end in finals:
+            for sentence, end in minor_sentences(succ, budget) or (((), succ),):
+                trace = prefix + (r.name,) + sentence
                 key = (r, end)
                 best = results.get(key)
                 if best is None or (len(trace), trace) < (len(best), best):
@@ -709,111 +654,6 @@ def big_step_traced(state: State, budget: Budget = None) -> list:
 def big_step(state: State, budget: Budget = None) -> list:
     """Big steps from state as (major rule, end state) pairs."""
     return [(r, end) for r, end, _ in big_step_traced(state, budget)]
-
-
-def run(state: State, budget: Budget = None) -> tuple:
-    """All end states reachable from state, remaining normalized to Succeed.
-
-    An end state is the target of a minor-only completion of any state in the
-    reflexive-transitive big-step closure; in particular a start state whose
-    minor rules can finish the strategy outright is its own end state.
-    """
-    budget = budget if budget is not None else Budget()
-    seen = {state}
-    stack = [state]
-    ends: dict = {}
-    while stack:
-        st = stack.pop()
-        for _, end in minor_sentences(st, step_budget=budget):
-            ends.setdefault(State(end.env, end.focus, SUCCEED))
-        for _, succ in big_step(st, budget):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return tuple(sorted(ends, key=state_sort_key))
-
-
-def recognize(strategy: Strategy, majors, state: State, budget: Budget = None) -> bool:
-    """True iff some big-step path through strategy follows exactly this major trace.
-
-    The state supplies the starting environment and focus; its own remaining
-    strategy is ignored. majors may hold RewriteRule values or plain names.
-    """
-    budget = budget if budget is not None else Budget()
-    names = [m.name if isinstance(m, RewriteRule) else m for m in majors]
-    start = State(state.env, state.focus, strategy)
-
-    def walk_trace(st, i):
-        if i == len(names):
-            return has_minor_completion(st, budget)
-        for r, succ in big_step(st, budget):
-            if r.name == names[i] and walk_trace(succ, i + 1):
-                return True
-        return False
-
-    return walk_trace(start, 0)
-
-
-# ---------------------------------------------------------------------------
-# bounded language enumeration
-
-def language_upto(s: Strategy, max_len: int = DEFAULT_MAX_LEN,
-                  max_unroll: int = DEFAULT_MAX_UNROLL,
-                  node_budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
-    """Sentences of the language of s, bounded in length and Rec unrollings.
-
-    Sentences are tuples of atom nodes (Rule or Check). Labels contribute
-    their Enter and Leave atoms, which count toward the length. Each Rec value
-    may unfold at most max_unroll times per sentence. Exceeding node_budget
-    raises BudgetExceededError.
-    """
-    if max_len < 0 or max_unroll < 0:
-        raise ValueError("bounds must be non-negative")
-    visited_nodes = [0]
-
-    def lang(node, unrolls, limit):
-        visited_nodes[0] += 1
-        if visited_nodes[0] > node_budget:
-            raise BudgetExceededError("language enumeration exceeded %d nodes" % node_budget)
-        t = type(node)
-        if t is Rule or t is Check:
-            return {(node,)} if limit >= 1 else set()
-        if t is Succeed:
-            return {()}
-        if t is Fail:
-            return set()
-        if t is Seq:
-            lefts = lang(node.left, unrolls, limit)
-            if not lefts:
-                return set()
-            shortest = min(len(x) for x in lefts)
-            rights = lang(node.right, unrolls, limit - shortest)
-            return {x + y for x in lefts for y in rights if len(x) + len(y) <= limit}
-        if t is Choice:
-            return lang(node.left, unrolls, limit) | lang(node.right, unrolls, limit)
-        if t is Label:
-            if limit < 2:
-                return set()
-            enter = Rule(enter_rule(node.name))
-            leave = Rule(leave_rule(node.name))
-            return {(enter,) + x + (leave,) for x in lang(node.body, unrolls, limit - 2)}
-        if t is Rec:
-            count = unrolls.get(node, 0)
-            if count >= max_unroll:
-                return set()
-            bumped = dict(unrolls)
-            bumped[node] = count + 1
-            return lang(unroll(node), bumped, limit)
-        if t is Var:
-            raise ValueError("unbound strategy variable %r" % node.name)
-        raise TypeError("not a strategy node: %r" % (node,))
-
-    return frozenset(lang(s, {}, max_len))
-
-
-def majors_of(sentence: tuple) -> tuple:
-    """Project a sentence onto its major rule names, dropping minors and checks."""
-    return tuple(a.rule.name for a in sentence if type(a) is Rule and not a.rule.minor)
 
 
 # ---------------------------------------------------------------------------

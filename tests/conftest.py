@@ -22,12 +22,13 @@ from strategem.strategy import (
     Rule,
     Seq,
     State,
-    accepts_empty,
     option,
     orelse,
     try_,
 )
 from strategem.strategy import repeat as repeat_strategy
+
+from support import accepts_empty
 
 
 def _dec(e):

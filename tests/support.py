@@ -1,0 +1,190 @@
+"""Engine machinery that only the tests use: oracles and a demonstration.
+
+split_unguarded shows the time-out that split's left-recursion guard
+prevents. run and recognize search whole derivations with big steps,
+language_upto enumerates a bounded language and majors_of projects its
+sentences onto major rules; accepts_empty is the syntactic minor-only
+emptiness test. The tests compare the engine against these.
+"""
+
+from strategem.strategy import (
+    SUCCEED,
+    Budget,
+    BudgetExceededError,
+    Check,
+    Choice,
+    Fail,
+    Label,
+    Rec,
+    RewriteRule,
+    Rule,
+    Seq,
+    State,
+    Strategy,
+    Succeed,
+    Var,
+    _seq_rest,
+    big_step,
+    enter_rule,
+    has_minor_completion,
+    leave_rule,
+    minor_sentences,
+    nullable,
+    passable,
+    state_sort_key,
+    unroll,
+)
+
+DEFAULT_MAX_LEN = 32
+DEFAULT_MAX_UNROLL = 8
+DEFAULT_NODE_BUDGET = 200_000
+
+
+def _minor_free(atom: Strategy) -> bool:
+    """Free-atom predicate of accepts_empty: checks and minor rules."""
+    return type(atom) is Check or atom.rule.minor
+
+
+def accepts_empty(s: Strategy) -> bool:
+    """True iff the language of s has a sentence of minor atoms only.
+
+    This is the syntactic test; it ignores whether those minor atoms would
+    actually execute from any particular state.
+    """
+    return passable(s, _minor_free, frozenset())
+
+
+def split_unguarded(s: Strategy, budget: Budget) -> tuple:
+    """split without the left-recursion guard, for demonstrating the time-out.
+
+    A left-recursive strategy makes this loop; the budget turns the loop into
+    a BudgetExceededError instead of a hang.
+    """
+    out: dict = {}
+    stack = [(s, SUCCEED)]
+    while stack:
+        budget.tick()
+        node, cont = stack.pop()
+        t = type(node)
+        if t is Rule or t is Check:
+            out.setdefault((node, cont))
+        elif t is Seq:
+            if nullable(node.left):
+                stack.append((node.right, cont))
+            stack.append((node.left, _seq_rest(node.right, cont)))
+        elif t is Choice:
+            stack.append((node.right, cont))
+            stack.append((node.left, cont))
+        elif t is Label:
+            enter = Rule(enter_rule(node.name))
+            out.setdefault((enter, _seq_rest(node.body, _seq_rest(Rule(leave_rule(node.name)), cont))))
+        elif t is Rec:
+            stack.append((unroll(node), cont))
+        elif t is Var:
+            raise ValueError("unbound strategy variable %r" % node.name)
+    return tuple(out)
+
+
+def run(state: State, budget: Budget = None) -> tuple:
+    """All end states reachable from state, remaining normalized to Succeed.
+
+    An end state is the target of a minor-only completion of any state in the
+    reflexive-transitive big-step closure; in particular a start state whose
+    minor rules can finish the strategy outright is its own end state.
+    """
+    budget = budget if budget is not None else Budget()
+    seen = {state}
+    stack = [state]
+    ends: dict = {}
+    while stack:
+        st = stack.pop()
+        for _, end in minor_sentences(st, budget):
+            ends.setdefault(State(end.env, end.focus, SUCCEED))
+        for _, succ in big_step(st, budget):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return tuple(sorted(ends, key=state_sort_key))
+
+
+def recognize(strategy: Strategy, majors, state: State, budget: Budget = None) -> bool:
+    """True iff some big-step path through strategy follows exactly this major trace.
+
+    The state supplies the starting environment and focus; its own remaining
+    strategy is ignored. majors may hold RewriteRule values or plain names.
+    """
+    budget = budget if budget is not None else Budget()
+    names = [m.name if isinstance(m, RewriteRule) else m for m in majors]
+    start = State(state.env, state.focus, strategy)
+
+    def walk_trace(st, i):
+        if i == len(names):
+            return has_minor_completion(st, budget)
+        for r, succ in big_step(st, budget):
+            if r.name == names[i] and walk_trace(succ, i + 1):
+                return True
+        return False
+
+    return walk_trace(start, 0)
+
+
+# ---------------------------------------------------------------------------
+# bounded language enumeration
+
+def language_upto(s: Strategy, max_len: int = DEFAULT_MAX_LEN,
+                  max_unroll: int = DEFAULT_MAX_UNROLL,
+                  node_budget: int = DEFAULT_NODE_BUDGET) -> frozenset:
+    """Sentences of the language of s, bounded in length and Rec unrollings.
+
+    Sentences are tuples of atom nodes (Rule or Check). Labels contribute
+    their Enter and Leave atoms, which count toward the length. Each Rec value
+    may unfold at most max_unroll times per sentence. Exceeding node_budget
+    raises BudgetExceededError.
+    """
+    if max_len < 0 or max_unroll < 0:
+        raise ValueError("bounds must be non-negative")
+    visited_nodes = [0]
+
+    def lang(node, unrolls, limit):
+        visited_nodes[0] += 1
+        if visited_nodes[0] > node_budget:
+            raise BudgetExceededError("language enumeration exceeded %d nodes" % node_budget)
+        t = type(node)
+        if t is Rule or t is Check:
+            return {(node,)} if limit >= 1 else set()
+        if t is Succeed:
+            return {()}
+        if t is Fail:
+            return set()
+        if t is Seq:
+            lefts = lang(node.left, unrolls, limit)
+            if not lefts:
+                return set()
+            shortest = min(len(x) for x in lefts)
+            rights = lang(node.right, unrolls, limit - shortest)
+            return {x + y for x in lefts for y in rights if len(x) + len(y) <= limit}
+        if t is Choice:
+            return lang(node.left, unrolls, limit) | lang(node.right, unrolls, limit)
+        if t is Label:
+            if limit < 2:
+                return set()
+            enter = Rule(enter_rule(node.name))
+            leave = Rule(leave_rule(node.name))
+            return {(enter,) + x + (leave,) for x in lang(node.body, unrolls, limit - 2)}
+        if t is Rec:
+            count = unrolls.get(node, 0)
+            if count >= max_unroll:
+                return set()
+            bumped = dict(unrolls)
+            bumped[node] = count + 1
+            return lang(unroll(node), bumped, limit)
+        if t is Var:
+            raise ValueError("unbound strategy variable %r" % node.name)
+        raise TypeError("not a strategy node: %r" % (node,))
+
+    return frozenset(lang(s, {}, max_len))
+
+
+def majors_of(sentence: tuple) -> tuple:
+    """Project a sentence onto its major rule names, dropping minors and checks."""
+    return tuple(a.rule.name for a in sentence if type(a) is Rule and not a.rule.minor)

@@ -19,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from conftest import initial, random_toy_strategy, random_toy_term
+from support import language_upto, recognize, run
 from strategem import cli, services
 from strategem.exercise import default_registry, power_exercise
 from strategem.lint import lint_strategy
@@ -41,11 +42,8 @@ from strategem.strategy import (
     Seq,
     Var,
     choice,
-    language_upto,
     nullable,
-    recognize,
     repeat,
-    run,
     seq,
     split,
     state_sort_key,

@@ -26,14 +26,12 @@ from strategem.strategy import (
     State,
     Var,
     default_budget_limit,
-    language_upto,
-    majors_of,
-    run,
     seq,
     with_step_budget,
 )
 
 from conftest import initial
+from support import language_upto, majors_of, run
 
 A = Rule(ADD_EXP)
 M = Rule(MUL_EXP)

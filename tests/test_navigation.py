@@ -25,9 +25,10 @@ from strategem.navigation import (
     unfocus,
 )
 from strategem.powers import ADD_EXP, DIST_EXP, MUL_EXP, Mul, Power, Var, parse, print_expr
-from strategem.strategy import Environment, Rule, State, big_step, choice, run
+from strategem.strategy import Environment, Rule, State, big_step, choice
 
 from conftest import initial, toy_terms
+from support import run
 
 A = Rule(ADD_EXP)
 M = Rule(MUL_EXP)

@@ -424,6 +424,17 @@ def test_bad_generate_arguments():
         difficulty="extreme"))) == "parse-error"
 
 
+def test_json_booleans_are_not_integers():
+    # bool is a subclass of int in Python, so true would otherwise mean 1
+    for request in (
+        req(service="generate", exercise="powerExercise", seed=True),
+        req(service="apply", exercise="powerExercise", rule="AddExp",
+            location=[True], state=wire("a^2*a^3")),
+        req(service="ready", exercise="powerExercise", state=wire("a^2*a^3", path=[True])),
+    ):
+        assert error_code(handle_request(request)) == "parse-error"
+
+
 def test_responses_are_canonical_json():
     lines = [
         req(service="derivation", exercise="powerExercise", state=wire("(a^3*a^4)^2")),

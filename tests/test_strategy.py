@@ -28,30 +28,25 @@ from strategem.strategy import (
     Seq,
     State,
     Var,
-    accepts_empty,
     big_step,
     big_step_traced,
     choice,
     has_minor_completion,
-    language_upto,
-    majors_of,
     minor_sentences,
     nullable,
     option,
     orelse,
-    recognize,
     repeat,
     rules_of,
-    run,
     seq,
     split,
-    split_unguarded,
     step,
     try_,
     unroll,
 )
 
 from conftest import DEC, KEEP_LEFT, UNWRAP, initial, toy_strategies, toy_terms
+from support import accepts_empty, language_upto, majors_of, recognize, run, split_unguarded
 
 A = Rule(ADD_EXP)
 M = Rule(MUL_EXP)
@@ -295,10 +290,14 @@ def test_minor_loop_without_checks_exhausts_the_path_budget():
         minor_sentences(st)
 
 
-def test_minor_sentences_rejects_nonpositive_budget():
-    st = initial(parse("a"), SUCCEED)
-    with pytest.raises(ValueError):
-        minor_sentences(st, budget=0)
+def test_minor_sentences_follows_a_long_loop_free_path():
+    # 20 descents and 20 ascents: no state repeats, so only the budget bounds it
+    st = initial(parse("(" * 20 + "a" + ")^2" * 20), seq(*[Rule(DOWNS)] * 20, *[Rule(UP)] * 20))
+    sents = minor_sentences(st)
+    assert len(sents) == 1
+    names, end = sents[0]
+    assert names == ("Down",) * 20 + ("Up",) * 20
+    assert end.focus == st.focus
 
 
 # ---------------------------------------------------------------------------
