@@ -172,18 +172,18 @@ def _right_transform(env, z):
     return ()
 
 
-UP = RewriteRule(name="Up", transform=_up_transform, minor=True)
+UP = RewriteRule(name="Up", transform=_up_transform, minor=True, depth=(1, -1))
 
 # Nondeterministic descent, one successor per child. Distinct from the
 # selecting Down rules below: it always makes structural progress, which the
 # left-recursion analysis credits as consumption.
 DOWNS = RewriteRule(
     name="Down", transform=_downs_transform, minor=True,
-    key=("Downs",), term_name="Downs", progress=True,
+    key=("Downs",), term_name="Downs", progress=True, depth=(0, 1),
 )
 
-LEFT = RewriteRule(name="Left", transform=_left_transform, minor=True)
-RIGHT = RewriteRule(name="Right", transform=_right_transform, minor=True)
+LEFT = RewriteRule(name="Left", transform=_left_transform, minor=True, depth=(1, 0))
+RIGHT = RewriteRule(name="Right", transform=_right_transform, minor=True, depth=(1, 0))
 
 
 @lru_cache(maxsize=None)
@@ -197,7 +197,7 @@ def down_rule(index: int) -> RewriteRule:
 
     return RewriteRule(
         name="Down", transform=transform, minor=True,
-        key=("Down", index), term_name="Down(%d)" % index,
+        key=("Down", index), term_name="Down(%d)" % index, depth=(0, 1),
     )
 
 
@@ -219,7 +219,7 @@ def down_env_rule(key: str) -> RewriteRule:
 
     return RewriteRule(
         name="Down", transform=transform, minor=True,
-        key=("DownEnv", key), term_name="Down(@%s)" % key,
+        key=("DownEnv", key), term_name="Down(@%s)" % key, depth=(0, 1),
     )
 
 
@@ -257,7 +257,8 @@ def expr_rule(name: str, fn: Callable[[Any], Iterable], minor: bool = False,
     def transform(env, z):
         return tuple((env, z.with_focus(term)) for term in fn(z.focus))
 
-    return RewriteRule(name=name, transform=transform, minor=minor, expr_fn=fn, **kwargs)
+    return RewriteRule(name=name, transform=transform, minor=minor, expr_fn=fn,
+                       depth=(0, 0), **kwargs)
 
 
 def apply_at(rule: RewriteRule, term, path) -> tuple:

@@ -150,7 +150,10 @@ class _Parser:
             raise ParseError("expected an integer exponent", self.pos)
         while (self.peek() or "").isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # beyond the interpreter's integer-digit limit
+            raise ParseError("exponent has too many digits", start) from None
 
     def peek(self) -> Optional[str]:
         return self.text[self.pos] if self.pos < len(self.text) else None
@@ -158,7 +161,11 @@ class _Parser:
 
 def parse(text: str) -> Expr:
     """Parse the concrete syntax; whitespace is not allowed."""
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None
 
 
 def print_expr(e: Expr) -> str:

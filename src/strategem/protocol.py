@@ -196,7 +196,11 @@ class _TermParser:
 
 def parse_term(text: str, table: dict = None) -> Strategy:
     """Parse the concrete strategy syntax against a rule name table."""
-    return _TermParser(text, table if table is not None else default_rule_table()).parse()
+    parser = _TermParser(text, table if table is not None else default_rule_table())
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise TermParseError("strategy term nested too deeply") from None
 
 
 def print_term(s: Strategy) -> str:
@@ -266,7 +270,10 @@ def _parse_env(raw) -> Environment:
                  for k, v in bindings.items()), "env bindings must map strings to strings")
     _require(isinstance(label_path, list) and all(isinstance(x, str) for x in label_path),
              "env.labelPath must be a list of strings")
-    return Environment(tuple(sorted(bindings.items())), tuple(label_path))
+    env = Environment(tuple(sorted(bindings.items())))
+    for name in label_path:
+        env = env.push_label(name)
+    return env
 
 
 def _resolve_strategy_ref(ref, exercise: Exercise) -> Strategy:

@@ -142,6 +142,11 @@ class RewriteRule:
     term_name: str = None  # spelling in the concrete strategy syntax, if different
     progress: bool = False  # guaranteed strict descent, terminates on finite terms
     expr_fn: Callable = None  # plain term rewriter this rule was lifted from, if any
+    # (need, net) zipper depths: the rule reads or moves at most need levels
+    # above the focus, through the focus value's .focus subterm and context
+    # frames, and leaves the focus net levels deeper. None: the rule may read
+    # anything, so no strategy using it is focus-local (see depth_effect).
+    depth: tuple = None
 
     def __post_init__(self):
         if self.key is None:
@@ -232,21 +237,60 @@ SUCCEED = Succeed()
 FAIL = Fail()
 
 
+class _Labels:
+    """One cell of a label stack. Cells share their tails, so a push is O(1)
+    however deep the stack, and the hash is computed once at construction."""
+
+    __slots__ = ("top", "below", "hash")
+
+    def __init__(self, top: str, below: Optional["_Labels"]):
+        self.top = top
+        self.below = below
+        self.hash = hash((top, below.hash if below is not None else 0))
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        # iterative, so deep stacks compare without deep recursion
+        a, b = self, other
+        while a is not b:
+            if (type(a) is not _Labels or type(b) is not _Labels
+                    or a.hash != b.hash or a.top != b.top):
+                return False
+            a, b = a.below, b.below
+        return True
+
+
 @cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Environment:
     """Finite string-to-string map plus the stack of entered labels."""
 
     bindings: tuple = ()  # sorted (key, value) pairs
-    label_path: tuple = ()
+    labels: Optional[_Labels] = None  # innermost label on top
+
+    @property
+    def label_path(self) -> tuple:
+        """The entered labels, outermost first."""
+        out = []
+        cell = self.labels
+        while cell is not None:
+            out.append(cell.top)
+            cell = cell.below
+        return tuple(reversed(out))
+
+    def __repr__(self):
+        # state_sort_key orders states by repr, so keep the tuple form
+        return "Environment(bindings=%r, label_path=%r)" % (self.bindings, self.label_path)
 
     def bind(self, key: str, value: str) -> "Environment":
         pairs = tuple(sorted({**dict(self.bindings), key: value}.items()))
-        return Environment(pairs, self.label_path)
+        return Environment(pairs, self.labels)
 
     def unbind(self, key: str) -> "Environment":
         pairs = tuple(p for p in self.bindings if p[0] != key)
-        return Environment(pairs, self.label_path)
+        return Environment(pairs, self.labels)
 
     def get(self, key: str, default: str = None) -> Optional[str]:
         for k, v in self.bindings:
@@ -255,12 +299,16 @@ class Environment:
         return default
 
     def push_label(self, name: str) -> "Environment":
-        return Environment(self.bindings, self.label_path + (name,))
+        return Environment(self.bindings, _Labels(name, self.labels))
+
+    def in_label(self, name: str) -> bool:
+        """True iff name is the innermost entered label."""
+        return self.labels is not None and self.labels.top == name
 
     def pop_label(self, name: str) -> "Environment":
-        if not self.label_path or self.label_path[-1] != name:
+        if not self.in_label(name):
             raise ValueError("label stack does not end with %r" % name)
-        return Environment(self.bindings, self.label_path[:-1])
+        return Environment(self.bindings, self.labels.below)
 
 
 @cached_hash
@@ -366,19 +414,21 @@ def enter_rule(label: str) -> RewriteRule:
         return ((env.push_label(label), focus),)
 
     return RewriteRule(
-        name="Enter(%s)" % label, transform=transform, minor=True, key=("Enter", label)
+        name="Enter(%s)" % label, transform=transform, minor=True, key=("Enter", label),
+        depth=(0, 0),
     )
 
 
 @lru_cache(maxsize=None)
 def leave_rule(label: str) -> RewriteRule:
     def transform(env, focus):
-        if env.label_path and env.label_path[-1] == label:
+        if env.in_label(label):
             return ((env.pop_label(label), focus),)
         return ()
 
     return RewriteRule(
-        name="Leave(%s)" % label, transform=transform, minor=True, key=("Leave", label)
+        name="Leave(%s)" % label, transform=transform, minor=True, key=("Leave", label),
+        depth=(0, 0),
     )
 
 
@@ -440,6 +490,96 @@ def passable(s: Strategy, free: Callable[[Strategy], bool], bound: frozenset) ->
 def nullable(s: Strategy) -> bool:
     """True iff the empty sentence is in the language of s."""
     return passable(s, nothing_free, frozenset())
+
+
+# ---------------------------------------------------------------------------
+# check analyses
+#
+# Two structural passes decide how much work a check needs. Their results are
+# kept on the node, as cached_hash keeps _hash. Check atoms come from closed
+# strategies, so every variable seen here is bound by a Rec inside the tree;
+# an unbound one raises only if a run reaches it, so these passes give it the
+# same assumption as a bound one instead of raising.
+
+def _kept_on_node(fn):
+    slot = "_" + fn.__name__
+
+    def wrapper(s):
+        d = s.__dict__
+        if slot not in d:
+            d[slot] = fn(s)
+        return d[slot]
+
+    return wrapper
+
+
+@_kept_on_node
+def total(s: Strategy) -> bool:
+    """True only if s has a run from every state (a sufficient test).
+
+    Succeed is total, a sequence when both sides are, a choice when either
+    branch is or when it is orelse(l, r) with r total: l runs, or ~l passes
+    and r runs. A variable is not total, so a Rec is total when its body is
+    without unfolding it (the least fixed point).
+    """
+    t = type(s)
+    if t is Succeed:
+        return True
+    if t is Seq:
+        return total(s.left) and total(s.right)
+    if t is Choice:
+        r = s.right
+        return total(s.left) or total(r) or (
+            type(r) is Seq and r.left == Check(s.left) and total(r.right))
+    if t is Rec:
+        return total(s.body)
+    return False
+
+
+@_kept_on_node
+def depth_effect(s: Strategy) -> Optional[tuple]:
+    """(need, net) zipper depths of every run of s, or None if unknown.
+
+    A run reads or moves at most need levels above its entry point and ends
+    net levels below it. need == 0 makes s focus-local: whether it has a run
+    depends on the environment and the focused subterm only. Rules declare
+    their own depths; a choice needs equal nets; a check reads what its inner
+    strategy reads and does not move. A variable is assumed (0, 0), and a Rec
+    keeps that assumption only when its body confirms it.
+    """
+    t = type(s)
+    if t is Succeed or t is Fail or t is Var:
+        return (0, 0)
+    if t is Rule:
+        return s.rule.depth
+    if t is Label:
+        return depth_effect(s.body)
+    if t is Check:
+        inner = depth_effect(s.inner)
+        return None if inner is None else (inner[0], 0)
+    if t is Rec:
+        body = depth_effect(s.body)
+        return body if body == (0, 0) else None
+    left, right = depth_effect(s.left), depth_effect(s.right)
+    if left is None or right is None:
+        return None
+    if t is Seq:
+        return (max(left[0], right[0] - left[1]), left[1] + right[1])
+    return (max(left[0], right[0]), left[1]) if left[1] == right[1] else None
+
+
+@_kept_on_node
+def check_plan(check: Check) -> tuple:
+    """(strategy to run, focus-local?) for a check atom.
+
+    ~(s ; t) passes exactly when ~s does if t is total: a run of s extends
+    to a run of s ; t. So total tails are dropped before the check runs.
+    """
+    inner = check.inner
+    while type(inner) is Seq and total(inner.right):
+        inner = inner.left
+    effect = depth_effect(inner)
+    return inner, effect is not None and effect[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +663,9 @@ def step(state: State, budget: Budget = None) -> list:
     term untouched and drops the atom.
 
     A check whose evaluation reaches the very same check at the very same
-    environment and focus has no consistent answer (its outcome negates
-    itself), so that re-entry raises rather than picking a fixed point.
+    environment and focus (focused subterm, for a focus-local check) has no
+    consistent answer (its outcome negates itself), so that re-entry raises
+    rather than picking a fixed point.
     """
     budget = budget if budget is not None else Budget()
     out = []
@@ -535,7 +676,11 @@ def step(state: State, budget: Budget = None) -> list:
                 budget.tick()
                 out.append((r, State(env2, focus2, rest)))
         else:
-            key = (state.env, state.focus, atom.inner)
+            inner, local = check_plan(atom)
+            # a focus-local outcome holds wherever the same subterm is focused,
+            # so it is keyed on that subterm and shared across positions
+            where = getattr(state.focus, "focus", state.focus) if local else state.focus
+            key = (state.env, where, inner)
             passed = budget.check_cache.get(key)
             if passed is _CHECK_IN_PROGRESS:
                 raise BudgetExceededError(
@@ -544,9 +689,7 @@ def step(state: State, budget: Budget = None) -> list:
             if passed is None:
                 budget.check_cache[key] = _CHECK_IN_PROGRESS
                 try:
-                    passed = not _has_end_state(
-                        State(state.env, state.focus, atom.inner), budget
-                    )
+                    passed = not _has_end_state(State(state.env, state.focus, inner), budget)
                 except BaseException:
                     del budget.check_cache[key]
                     raise

@@ -6,7 +6,6 @@ import pytest
 
 from strategem.exercise import (
     DuplicateCodeError,
-    Exercise,
     Registry,
     UnknownCodeError,
     default_registry,

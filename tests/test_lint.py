@@ -11,10 +11,9 @@ from strategem.lint import (
     detect_left_recursion,
     lint_strategy,
 )
-from strategem.navigation import DOWNS, UP, down_rule, once
+from strategem.navigation import DOWNS, UP, down_rule
 from strategem.powers import ADD_EXP, DIST_EXP, MUL_EXP, parse
 from strategem.strategy import (
-    SUCCEED,
     Budget,
     BudgetExceededError,
     Check,
@@ -23,7 +22,6 @@ from strategem.strategy import (
     Rec,
     Rule,
     Seq,
-    State,
     Var,
     default_budget_limit,
     seq,

@@ -9,7 +9,6 @@ from strategem.navigation import (
     RIGHT,
     UP,
     NavigationError,
-    Zipper,
     apply_at,
     bottom_up,
     down_env_rule,
@@ -24,8 +23,8 @@ from strategem.navigation import (
     top_down,
     unfocus,
 )
-from strategem.powers import ADD_EXP, DIST_EXP, MUL_EXP, Mul, Power, Var, parse, print_expr
-from strategem.strategy import Environment, Rule, State, big_step, choice
+from strategem.powers import ADD_EXP, DIST_EXP, MUL_EXP, Var, parse, print_expr
+from strategem.strategy import Environment, Rule, big_step, choice
 
 from conftest import initial, toy_terms
 from support import run

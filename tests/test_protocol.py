@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from strategem.exercise import Registry, default_registry, power_exercise
+from strategem.exercise import Registry, power_exercise
 from strategem.navigation import DOWNS, LEFT, RIGHT, UP, down_env_rule, down_rule
 from strategem.powers import ADD_EXP, MUL_EXP, parse, print_expr
 from strategem.protocol import (
@@ -470,6 +470,25 @@ def test_serve_answers_line_by_line_and_survives_errors():
     assert error_code(answers[1]) == "parse-error"
     assert answers[2] == '{"ok":{"remaining":2}}'
     assert error_code(answers[3]) == "no-step-available"
+
+
+def test_serve_answers_after_too_deep_or_too_long_input():
+    deep_term = "(" * 3000 + "Up" + ")" * 3000
+    lines = [
+        req(service="diagnose", exercise="powerExercise", state=wire("a^14"),
+            expression="(" * 3000 + "a" + ")" * 3000),
+        req(service="lint", strategy=deep_term),
+        req(service="allfirsts", exercise="powerExercise",
+            state=wire("a^14", ref={"term": deep_term})),
+        req(service="diagnose", exercise="powerExercise", state=wire("a^14"),
+            expression="a^" + "9" * 5000),
+        req(service="ready", exercise="powerExercise", state=wire("a^14")),
+    ]
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out)
+    answers = out.getvalue().splitlines()
+    assert [error_code(a) for a in answers[:4]] == ["parse-error"] * 4
+    assert answers[4] == '{"ok":{"ready":true}}'
 
 
 def test_serve_uses_a_custom_registry():

@@ -140,10 +140,10 @@ def test_derivation_steps_are_linked_big_steps():
 
 
 @pytest.mark.parametrize("term, used", [
-    (NESTED, 126),
-    (parse("(a*b)^2*(a*b)^3*(a*b)^4*(a*b)^5*(a*b)^6"), 8_129),
-    (generate_power("hard", 0), 470),
-    (generate_power("hard", 1), 341),
+    pytest.param(NESTED, 110, id="nested"),
+    pytest.param(parse("(a*b)^2*(a*b)^3*(a*b)^4*(a*b)^5*(a*b)^6"), 3_491, id="k5"),
+    pytest.param(generate_power("hard", 0), 329, id="hard0"),
+    pytest.param(generate_power("hard", 1), 276, id="hard1"),
 ])
 def test_derivation_transition_counts_are_pinned(term, used):
     budget = Budget()

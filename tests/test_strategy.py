@@ -1,14 +1,19 @@
 """Core combinator language: splitting, small and big steps, languages."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from strategem.navigation import (
     DOWNS,
+    RIGHT,
     UP,
     bottom_up,
-    focus_root,
+    focus_at,
     once,
+    positions,
     somewhere,
     unfocus,
 )
@@ -20,7 +25,6 @@ from strategem.strategy import (
     BudgetExceededError,
     Check,
     Choice,
-    Environment,
     Label,
     LeftRecursionError,
     Rec,
@@ -28,9 +32,11 @@ from strategem.strategy import (
     Seq,
     State,
     Var,
-    big_step,
+    _has_end_state,
     big_step_traced,
+    check_plan,
     choice,
+    depth_effect,
     has_minor_completion,
     minor_sentences,
     nullable,
@@ -41,11 +47,12 @@ from strategem.strategy import (
     seq,
     split,
     step,
+    total,
     try_,
     unroll,
 )
 
-from conftest import DEC, KEEP_LEFT, UNWRAP, initial, toy_strategies, toy_terms
+from conftest import DEC, KEEP_LEFT, initial, toy_strategies, toy_terms
 from support import accepts_empty, language_upto, majors_of, recognize, run, split_unguarded
 
 A = Rule(ADD_EXP)
@@ -248,6 +255,63 @@ def test_step_budget_is_charged():
 
 
 # ---------------------------------------------------------------------------
+# check evaluation: totality, locality and the memo key
+
+def test_totality_of_the_combinators():
+    assert total(SUCCEED) and total(try_(A)) and total(option(A)) and total(repeat(A))
+    assert total(Seq(try_(A), repeat(M)))
+    assert not total(A) and not total(FAIL) and not total(Check(A))
+    assert not total(Label("l", SUCCEED))
+    # the bound variable is not total: this loop has no run
+    assert not total(Rec("x", Seq(SUCCEED, Var("x"))))
+    assert total(Rec("x", Choice(Seq(A, Var("x")), SUCCEED)))
+
+
+def test_depth_effects_of_navigation():
+    assert depth_effect(Rule(DOWNS)) == (0, 1)
+    assert depth_effect(Rule(UP)) == (1, -1)
+    assert depth_effect(A) == (0, 0)
+    assert depth_effect(once(A)) == (0, 0)
+    assert depth_effect(somewhere(A)) == (0, 0)
+    assert depth_effect(bottom_up(A)) == (0, 0)
+    assert depth_effect(seq(Rule(UP), Rule(DOWNS))) == (1, 0)
+    assert depth_effect(Choice(Rule(DOWNS), A)) is None  # nets differ
+    assert depth_effect(Rec("x", Seq(Rule(DOWNS), Var("x")))) is None
+
+
+def test_check_plan_drops_total_tails():
+    body = bottom_up(A)
+    normalise = repeat(body)
+    check = split(normalise)[-1][0]
+    assert check == Check(Seq(body, normalise))
+    assert check_plan(check) == (body, True)
+    assert check_plan(Check(seq(Rule(UP), A))) == (seq(Rule(UP), A), False)
+
+
+def test_a_focus_local_check_is_memoised_per_subterm():
+    term = parse("a^2*a^2")
+    check = Check(bottom_up(Rule(DEC)))
+    root = initial(term, check)
+    budget = Budget()
+    for path in ((0,), (1,)):
+        assert step(State(root.env, focus_at(root.focus, path), check), budget) == []
+    inner = check_plan(check)[0]
+    assert [key[1] for key in budget.check_cache if key[2] == inner] == [parse("a^2")]
+
+
+def test_a_check_that_reads_above_the_focus_is_keyed_on_its_position():
+    term = parse("a*1/a")
+    check = Check(Rule(RIGHT))
+    root = initial(term, check)
+    left_factor = focus_at(root.focus, (0,))
+    under_recip = focus_at(root.focus, (1, 0))
+    assert left_factor.focus == under_recip.focus
+    budget = Budget()
+    assert step(State(root.env, left_factor, check), budget) == []
+    assert len(step(State(root.env, under_recip, check), budget)) == 1
+
+
+# ---------------------------------------------------------------------------
 # minor sentences and completions
 
 def test_minor_sentences_of_a_finished_state():
@@ -288,6 +352,20 @@ def test_minor_loop_without_checks_exhausts_the_path_budget():
     st = initial(parse("a^2"), shuttle)
     with pytest.raises(BudgetExceededError):
         minor_sentences(st)
+
+
+def test_entering_labels_without_leaving_takes_linear_memory():
+    # every state of this minor path is one label deeper than the last
+    st = initial(parse("a"), Rec("x", Label("deep", Var("x"))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            minor_sentences(st, Budget(2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 3.5 MB with a shared-tail label stack, 19 MB with copied tuples
+    assert peak < 8 * 2**20
 
 
 def test_minor_sentences_follows_a_long_loop_free_path():
@@ -488,3 +566,32 @@ def test_nullable_is_the_empty_sentence_in_the_language(s):
     except BudgetExceededError:
         return
     assert nullable(s) == (() in lang)
+
+
+@settings(max_examples=300, deadline=None)
+@given(toy_terms(), toy_strategies(), hst.data())
+def test_a_total_strategy_reaches_an_end_state_from_any_focus(term, s, data):
+    if not total(s):
+        return
+    root = initial(term, s)
+    path = data.draw(hst.sampled_from(positions(term)))
+    try:
+        assert _has_end_state(State(root.env, focus_at(root.focus, path), s), Budget())
+    except (BudgetExceededError, LeftRecursionError):
+        return
+
+
+@settings(max_examples=200, deadline=None)
+@given(toy_terms(), toy_strategies(), hst.data())
+def test_a_focus_local_check_depends_only_on_the_subterm(term, s, data):
+    check = Check(s)
+    if not check_plan(check)[1]:
+        return
+    root = initial(term, check)
+    here = focus_at(root.focus, data.draw(hst.sampled_from(positions(term))))
+    try:
+        at_position = step(State(root.env, here, check), Budget())
+        at_root = step(initial(here.focus, check), Budget())
+    except (BudgetExceededError, LeftRecursionError):
+        return
+    assert bool(at_position) == bool(at_root)
