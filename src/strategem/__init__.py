@@ -1,102 +1,1 @@
 """Rewrite-strategy combinators with stepwise tutoring feedback services."""
-
-from .exercise import (
-    DuplicateCodeError,
-    Exercise,
-    Registry,
-    UnknownCodeError,
-    ValidationReport,
-    default_registry,
-    power_exercise,
-    validate,
-    write_as_power_of,
-)
-from .lint import (
-    LintFinding,
-    LintReport,
-    detect_left_factors,
-    detect_left_recursion,
-    lint_strategy,
-)
-from .navigation import (
-    DOWNS,
-    LEFT,
-    RIGHT,
-    UP,
-    NavigationError,
-    Zipper,
-    bottom_up,
-    down_rule,
-    expr_rule,
-    focus_root,
-    once,
-    somewhere,
-    top_down,
-    unfocus,
-)
-from .powers import (
-    ADD_EXP,
-    BUG_ADD_EXP,
-    DIST_EXP,
-    MUL_EXP,
-    RECI_EXP,
-    ParseError,
-    eq_power,
-    generate_power,
-    norm_power,
-    parse,
-    print_expr,
-    sim_power,
-)
-from .protocol import handle_request, parse_term, print_term, serve
-from .services import (
-    Candidate,
-    Diagnosis,
-    InvalidLocationError,
-    NoStepAvailableError,
-    RuleNotApplicableError,
-    ServiceError,
-    allfirsts,
-    apply,
-    applicable,
-    derivation,
-    diagnose,
-    generate,
-    initial_state,
-    onefirst,
-    ready,
-    stepsremaining,
-)
-from .strategy import (
-    APP_CHECK,
-    Budget,
-    BudgetExceededError,
-    Check,
-    Choice,
-    Environment,
-    Fail,
-    Label,
-    LeftRecursionError,
-    Rec,
-    RewriteRule,
-    Rule,
-    Seq,
-    State,
-    Strategy,
-    StrategyError,
-    Succeed,
-    big_step,
-    choice,
-    minor_sentences,
-    nullable,
-    option,
-    orelse,
-    repeat,
-    seq,
-    split,
-    step,
-    try_,
-    with_step_budget,
-)
-
-__version__ = "0.1.0"

@@ -224,12 +224,9 @@ def _handle_submit(session: _Session, rest: str) -> None:
     result = services.diagnose(exercise, state, full)
     print(result.kind if result.rule is None else "%s (%s)" % (result.kind, result.rule))
     if result.kind == "Expected":
-        for candidate in services.allfirsts(exercise, state):
-            if exercise.similar(unfocus(candidate.state.focus), full):
-                session.state = candidate.state
-                session.view_path = ()
-                return
-    if result.kind in ("Detour", "Correct"):
+        session.state = result.state
+        session.view_path = ()
+    elif result.kind in ("Detour", "Correct"):
         # the term changed in a way the strategy did not anticipate; restart
         # the strategy on the new term so hints keep working
         session.state = services.initial_state(exercise, full)

@@ -206,7 +206,6 @@ def validate(exercise: Exercise, samples: int = 20, seed: int = 0) -> Validation
     add("generator-present", True)
 
     sound_witness = ""
-    buggy_witness = ""
     derivation_witness = ""
     starts_ok = True
     sound_ok = True

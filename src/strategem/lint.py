@@ -36,14 +36,6 @@ from .strategy import (
     walk,
 )
 
-__all__ = [
-    "LintFinding",
-    "LintReport",
-    "detect_left_recursion",
-    "detect_left_factors",
-    "lint_strategy",
-]
-
 MODES = ("transparent", "opaque")
 
 FACTOR_MAX_UNROLL = 4

@@ -53,9 +53,6 @@ class Zipper:
     def path(self) -> tuple:
         return tuple(frame.index for frame in self.context)
 
-    def is_root(self) -> bool:
-        return not self.context
-
     def up(self) -> "Zipper":
         if not self.context:
             raise NavigationError("already at the root")

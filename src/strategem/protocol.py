@@ -430,6 +430,13 @@ def handle_request(line: str, registry: Registry = None) -> str:
         return _error("budget-exceeded", "left-recursive strategy: %s" % exc)
     except (NoStepAvailableError, StuckError) as exc:
         return _error("no-step-available", str(exc))
+    # The budget bounds all work, term size included: a term that parsed but
+    # is too deep for the recursive term code, or an exponent past Python's
+    # int-digit limit, exhausts it like a long search does.
+    except RecursionError:
+        return _error("budget-exceeded", "term nested too deeply")
+    except ValueError as exc:
+        return _error("budget-exceeded", str(exc))
 
 
 def _dispatch(service: str, request: dict, registry: Registry):

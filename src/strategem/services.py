@@ -8,7 +8,7 @@ and separate processes produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List
 
 from .exercise import Exercise
@@ -77,11 +77,13 @@ class Diagnosis:
     """Outcome of judging a submitted expression.
 
     kind is one of NotEq, Buggy, Similar, Expected, Detour, Correct; rule
-    names the witnessing rule for Buggy, Expected and Detour.
+    names the witnessing rule for Buggy, Expected and Detour. state is the
+    matched candidate's state for Expected, so a caller can adopt it.
     """
 
     kind: str
     rule: str = None
+    state: State = field(default=None, compare=False)
 
 
 def initial_state(exercise: Exercise, term) -> State:
@@ -265,7 +267,7 @@ def diagnose(exercise: Exercise, state: State, submitted, budget: Budget = None)
 
     for cand in allfirsts(exercise, state, budget):
         if exercise.similar(focused_term(cand.state), submitted):
-            return Diagnosis("Expected", cand.rule.name)
+            return Diagnosis("Expected", cand.rule.name, cand.state)
 
     for rule in sorted(exercise.major_rules(),
                        key=lambda r: (exercise.order_key(r), r.name)):

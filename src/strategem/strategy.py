@@ -155,9 +155,6 @@ class RewriteRule:
     def __eq__(self, other):
         return isinstance(other, RewriteRule) and self.key == other.key
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self.key)
 
@@ -286,10 +283,6 @@ class Environment:
 
     def bind(self, key: str, value: str) -> "Environment":
         pairs = tuple(sorted({**dict(self.bindings), key: value}.items()))
-        return Environment(pairs, self.labels)
-
-    def unbind(self, key: str) -> "Environment":
-        pairs = tuple(p for p in self.bindings if p[0] != key)
         return Environment(pairs, self.labels)
 
     def get(self, key: str, default: str = None) -> Optional[str]:
@@ -773,18 +766,23 @@ def big_step_traced(state: State, budget: Budget = None) -> list:
     stepped once, in breadth-first order.
     """
     budget = budget if budget is not None else Budget()
-    prefixes = {state: ()}
+    # each closure state points back to (previous state, minor rule name), so
+    # the closure takes linear memory; prefixes are built only for states
+    # that have a major successor
+    parents = {state: None}
     queue = deque([state])
     results: dict = {}
     while queue:
         st = queue.popleft()
-        prefix = prefixes[st]
+        prefix = None
         for r, succ in step(st, budget):
             if r.minor:
-                if succ not in prefixes:
-                    prefixes[succ] = prefix + (r.name,)
+                if succ not in parents:
+                    parents[succ] = (st, r.name)
                     queue.append(succ)
                 continue
+            if prefix is None:
+                prefix = _prefix_to(st, parents)
             for sentence, end in minor_sentences(succ, budget) or (((), succ),):
                 trace = prefix + (r.name,) + sentence
                 key = (r, end)
@@ -792,6 +790,15 @@ def big_step_traced(state: State, budget: Budget = None) -> list:
                 if best is None or (len(trace), trace) < (len(best), best):
                     results[key] = trace
     return [(r, end, trace) for (r, end), trace in results.items()]
+
+
+def _prefix_to(state: State, parents: dict) -> tuple:
+    # rule names along the back-pointers from the closure's start to state
+    names = []
+    while parents[state] is not None:
+        state, name = parents[state]
+        names.append(name)
+    return tuple(reversed(names))
 
 
 def big_step(state: State, budget: Budget = None) -> list:

@@ -491,6 +491,23 @@ def test_serve_answers_after_too_deep_or_too_long_input():
     assert answers[4] == '{"ok":{"ready":true}}'
 
 
+def test_serve_answers_after_terms_too_big_to_solve():
+    # each parses, then is too deep for the recursive term code or makes an
+    # exponent past Python's int-digit limit
+    big = ["1/" * 900 + "a",
+           "(a^" + "7" * 3000 + ")^" + "3" * 3000,
+           "*".join(["a"] * 3000)]
+    lines = [req(service="derivation", exercise="powerExercise", state=wire(e))
+             for e in big]
+    lines.append(req(service="ready", exercise="powerExercise", state=wire("a^14")))
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out)
+    answers = out.getvalue().splitlines()
+    assert [error_code(a) for a in answers[:3]] == ["budget-exceeded"] * 3
+    assert json.loads(answers[0])["error"]["message"] == "term nested too deeply"
+    assert answers[3] == '{"ok":{"ready":true}}'
+
+
 def test_serve_uses_a_custom_registry():
     registry = Registry([dataclasses.replace(EX, code="justPowers")])
     out = io.StringIO()

@@ -325,3 +325,13 @@ def test_diagnose_agrees_with_allfirsts():
     for cand in services.allfirsts(EX, state):
         verdict = services.diagnose(EX, state, services.focused_term(cand.state))
         assert verdict == Diagnosis("Expected", cand.rule.name)
+
+
+def test_expected_diagnosis_carries_the_candidate_state():
+    state = start("(a^2*a^3)*(b^2*b^3)")
+    candidates = services.allfirsts(EX, state)
+    assert len(candidates) > 1
+    for cand in candidates:
+        verdict = services.diagnose(EX, state, services.focused_term(cand.state))
+        assert verdict.state == cand.state
+    assert services.diagnose(EX, state, parse("a^5*b^5")).state is None

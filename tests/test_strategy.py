@@ -368,6 +368,20 @@ def test_entering_labels_without_leaving_takes_linear_memory():
     assert peak < 8 * 2**20
 
 
+def test_big_step_minor_closure_takes_linear_memory():
+    # the minor closure of this state is one long path of label entries
+    st = initial(parse("a"), Rec("x", Label("deep", Var("x"))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            big_step_traced(st, Budget(3000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a stored prefix per closure state grows with the square of the closure
+    assert peak < 8 * 2**20
+
+
 def test_minor_sentences_follows_a_long_loop_free_path():
     # 20 descents and 20 ascents: no state repeats, so only the budget bounds it
     st = initial(parse("(" * 20 + "a" + ")^2" * 20), seq(*[Rule(DOWNS)] * 20, *[Rule(UP)] * 20))
