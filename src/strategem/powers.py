@@ -34,10 +34,14 @@ class Var(Expr):
 
 
 @cached_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Power(Expr):
     base: Expr
     exponent: int
+
+    def __repr__(self):
+        # the dataclass text; state_sort_key orders states by it
+        return "Power(base=%r, exponent=%s)" % (self.base, _digits(self.exponent))
 
     def children(self):
         return (self.base,)
@@ -81,6 +85,10 @@ class Recip(Expr):
 
 # ---------------------------------------------------------------------------
 # concrete syntax
+
+MAX_EXPONENT_DIGITS = 4300  # CPython's default int-to-text limit, on every version
+_EXPONENT_BOUND = 10 ** MAX_EXPONENT_DIGITS
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
@@ -148,12 +156,12 @@ class _Parser:
             self.pos += 1
         if not (self.peek() or "").isdigit():
             raise ParseError("expected an integer exponent", self.pos)
+        digits = self.pos
         while (self.peek() or "").isdigit():
             self.pos += 1
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:  # beyond the interpreter's integer-digit limit
-            raise ParseError("exponent has too many digits", start) from None
+        if self.pos - digits > MAX_EXPONENT_DIGITS:
+            raise ParseError("exponent has too many digits", start)
+        return int(self.text[start:self.pos])
 
     def peek(self) -> Optional[str]:
         return self.text[self.pos] if self.pos < len(self.text) else None
@@ -168,6 +176,12 @@ def parse(text: str) -> Expr:
         raise ParseError("expression nested too deeply", parser.pos) from None
 
 
+def _digits(n: int) -> str:
+    if abs(n) >= _EXPONENT_BOUND:
+        raise ValueError("exponent has too many digits to print")
+    return "%d" % n
+
+
 def print_expr(e: Expr) -> str:
     """Render with the fewest parentheses that survive a round trip."""
     if type(e) is Var:
@@ -176,7 +190,7 @@ def print_expr(e: Expr) -> str:
         base = print_expr(e.base)
         if type(e.base) is not Var:
             base = "(%s)" % base
-        return "%s^%d" % (base, e.exponent)
+        return "%s^%s" % (base, _digits(e.exponent))
     if type(e) is Mul:
         left = print_expr(e.left)
         right = print_expr(e.right)

@@ -287,6 +287,16 @@ def _resolve_strategy_ref(ref, exercise: Exercise) -> Strategy:
     raise WireFormatError("strategyRef must be %r or {\"term\": ...}" % EXERCISE_DEFAULT_REF)
 
 
+# the fields of a wire state, in the order serialize_state writes them
+_STATE_FIELDS = ("env", "expr", "path", "strategyRef", "start", "trace")
+
+
+def _index_path(raw, name: str) -> tuple:
+    _require(isinstance(raw, list) and all(type(i) is int and i >= 0 for i in raw),
+             "%s must be a list of non-negative integers" % name)
+    return tuple(raw)
+
+
 def deserialize_state(wire, exercise: Exercise, budget: Budget = None):
     """Rebuild a full state from its wire form.
 
@@ -295,17 +305,13 @@ def deserialize_state(wire, exercise: Exercise, budget: Budget = None):
     in the wire take precedence over the replayed values.
     """
     _require(isinstance(wire, dict), "state must be an object")
-    _require(set(wire) <= {"env", "expr", "path", "strategyRef", "start", "trace"},
-             "unknown state fields: %s"
-             % ", ".join(sorted(set(wire) - {"env", "expr", "path", "strategyRef",
-                                             "start", "trace"})))
-    for field in ("env", "expr", "path", "strategyRef", "start", "trace"):
+    unknown = set(wire) - set(_STATE_FIELDS)
+    _require(not unknown, "unknown state fields: %s" % ", ".join(sorted(unknown)))
+    for field in _STATE_FIELDS:
         _require(field in wire, "state is missing %r" % field)
     _require(isinstance(wire["expr"], str), "expr must be a string")
     _require(isinstance(wire["start"], str), "start must be a string")
-    path = wire["path"]
-    _require(isinstance(path, list) and all(type(i) is int and i >= 0 for i in path),
-             "path must be a list of non-negative integers")
+    path = _index_path(wire["path"], "path")
     trace = wire["trace"]
     _require(isinstance(trace, list) and all(isinstance(t, str) for t in trace),
              "trace must be a list of rule names")
@@ -320,10 +326,10 @@ def deserialize_state(wire, exercise: Exercise, budget: Budget = None):
         for index in path:
             zipper = zipper.down(index)
     except NavigationError:
-        raise InvalidLocationError(tuple(path)) from None
+        raise InvalidLocationError(path) from None
 
     remaining = _replay_remaining(strategy, start, tuple(trace), env,
-                                  tuple(path), wire["expr"], budget)
+                                  path, wire["expr"], budget)
     return State(env, zipper, remaining), wire["strategyRef"], wire["start"], list(trace)
 
 
@@ -342,18 +348,10 @@ def _replay_remaining(strategy, start_term, trace, env, path, expr_text, budget)
             break  # trace left the strategy; keep the longest replayable prefix
         states = level
 
-    def exact(st):
-        return (st.env == env and st.focus.path == path
-                and print_expr(unfocus(st.focus)) == expr_text)
-
-    def positional(st):
-        return st.env == env and st.focus.path == path
-
-    for accept in (exact, positional, lambda st: True):
-        hits = [st for st in states if accept(st)]
-        if hits:
-            return min(hits, key=state_sort_key).remaining
-    return strategy
+    # an exact match wins, then one at the same position, then any state
+    positional = [st for st in states if st.env == env and st.focus.path == path]
+    exact = [st for st in positional if print_expr(unfocus(st.focus)) == expr_text]
+    return min(exact or positional or states, key=state_sort_key).remaining
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +381,6 @@ def _ok(value) -> str:
 
 def _error(code: str, message: str) -> str:
     return _encode({"error": {"code": code, "message": message}})
-
-
-def _location(raw) -> tuple:
-    _require(isinstance(raw, list) and all(type(i) is int and i >= 0 for i in raw),
-             "location must be a list of non-negative integers")
-    return tuple(raw)
 
 
 def handle_request(line: str, registry: Registry = None) -> str:
@@ -481,12 +473,12 @@ def _dispatch(service: str, request: dict, registry: Registry):
         return {"remaining": services.stepsremaining(exercise, state, budget)}
     if service == "apply":
         rule = _string_field(request, "rule")
-        location = _location(request["location"])
+        location = _index_path(request["location"], "location")
         new_state = services.apply(exercise, rule, location, state)
         new_state = services.adopt_step(exercise, state, rule, new_state, budget)
         return {"state": serialize_state(new_state, ref, start, trace + [rule])}
     if service == "applicable":
-        location = _location(request["location"])
+        location = _index_path(request["location"], "location")
         rules = services.applicable(exercise, location, state)
         return {"rules": [r.name for r in rules]}
     if service == "diagnose":

@@ -42,10 +42,9 @@ class LeftRecursionError(StrategyError):
 class BudgetExceededError(StrategyError):
     """A step budget ran out before the computation finished."""
 
-    def __init__(self, message: str, used: int = None, trace: tuple = ()):
+    def __init__(self, message: str, used: int = None):
         super().__init__(message)
         self.used = used
-        self.trace = tuple(trace)
 
 
 _budget_override: ContextVar[Optional[int]] = ContextVar("strategem_budget", default=None)
@@ -722,34 +721,39 @@ def _reaches_end(state: State, budget: Budget, minor_only: bool) -> bool:
     return False
 
 
-def minor_sentences(state: State, budget: Budget = None) -> tuple:
-    """All minor-only step sequences from state that end with a nullable remainder.
+def _minor_closure(state: State, budget: Budget) -> Iterator[tuple]:
+    """Breadth-first walk of the minor-only paths from state.
 
-    Returns (sentence, end state) pairs where a sentence is a tuple of rule
-    names (AppCheck included). The empty sentence pairs with the state itself
-    when its remaining strategy is already nullable. A path that returns to
-    one of its own states raises BudgetExceededError; the transitions step
-    charges to budget bound every other path.
+    Steps each state once and yields (state, its major (rule, successor)
+    pairs, parents), where parents maps each state seen so far to (previous
+    state, minor rule name), or None for the start. A minor loop only comes
+    back to a state already seen.
+    """
+    parents = {state: None}
+    queue = deque([state])
+    while queue:
+        st = queue.popleft()
+        majors = []
+        for r, succ in step(st, budget):
+            if not r.minor:
+                majors.append((r, succ))
+            elif succ not in parents:
+                parents[succ] = (st, r.name)
+                queue.append(succ)
+        yield st, majors, parents
+
+
+def minor_sentences(state: State, budget: Budget = None) -> tuple:
+    """One shortest minor-only sentence to each reachable nullable remainder.
+
+    Returns (sentence, end state) pairs; a sentence is a tuple of rule names,
+    AppCheck included, and is empty when state itself is finished. The
+    transitions step charges to budget bound the walk.
     """
     budget = budget if budget is not None else Budget()
-    out: dict = {}
-    path: dict = {}  # the states of the path being extended, in order
-    stack = [(state, ())]
-    while stack:
-        st, sentence = stack.pop()
-        while len(path) > len(sentence):
-            path.popitem()
-        if st in path:
-            raise BudgetExceededError(
-                "minor-only path returns to one of its states", trace=sentence
-            )
-        path[st] = None
-        if nullable(st.remaining):
-            out.setdefault((sentence, st))
-        minors = [(r, succ) for r, succ in step(st, budget) if r.minor]
-        for r, succ in reversed(minors):
-            stack.append((succ, sentence + (r.name,)))
-    return tuple(out)
+    return tuple((_prefix_to(st, parents), st)
+                 for st, _, parents in _minor_closure(state, budget)
+                 if nullable(st.remaining))
 
 
 # ---------------------------------------------------------------------------
@@ -762,29 +766,16 @@ def big_step_traced(state: State, budget: Budget = None) -> list:
     when the post-major state has minor-only completions, each completion
     applied to the end ("trailing minor rules"). The trace lists every rule
     name along the way, minors and AppCheck included. Duplicate (rule, state)
-    results keep their shortest trace. Each state of the minor closure is
-    stepped once, in breadth-first order.
+    results keep their shortest trace. The minor closure and each trailing
+    walk step every state once, in breadth-first order.
     """
     budget = budget if budget is not None else Budget()
-    # each closure state points back to (previous state, minor rule name), so
-    # the closure takes linear memory; prefixes are built only for states
-    # that have a major successor
-    parents = {state: None}
-    queue = deque([state])
     results: dict = {}
-    while queue:
-        st = queue.popleft()
-        prefix = None
-        for r, succ in step(st, budget):
-            if r.minor:
-                if succ not in parents:
-                    parents[succ] = (st, r.name)
-                    queue.append(succ)
-                continue
-            if prefix is None:
-                prefix = _prefix_to(st, parents)
+    for st, majors, parents in _minor_closure(state, budget):
+        for r, succ in majors:
+            head = _prefix_to(st, parents) + (r.name,)
             for sentence, end in minor_sentences(succ, budget) or (((), succ),):
-                trace = prefix + (r.name,) + sentence
+                trace = head + sentence
                 key = (r, end)
                 best = results.get(key)
                 if best is None or (len(trace), trace) < (len(best), best):

@@ -60,9 +60,11 @@ def initial(term, strategy) -> State:
 def safe_repeat(s):
     """repeat, but only for bodies that must consume a major per round.
 
-    Repeating a strategy that can succeed on minor rules alone admits
-    unboundedly long minor-only sentences, which the engine rightly reports
-    as budget exhaustion; random corpora steer clear of that by construction.
+    A repeat whose body can succeed on minor rules alone goes round on
+    minor steps and never exits: the exit check fails while the body has a
+    run. The engine's walk ends such a loop when it comes back to a state it
+    has seen, and runs out of budget when every round makes a new state;
+    random corpora steer clear of both by construction.
     """
     return repeat_strategy(s) if not accepts_empty(s) else try_(s)
 
@@ -84,15 +86,18 @@ def random_toy_term(rng: random.Random, max_depth: int = 3):
     return Recip(random_toy_term(rng, max_depth - 1))
 
 
-def random_toy_strategy(rng: random.Random, depth: int = 5):
+TOY_LEAVES = (Rule(DEC), Rule(KEEP_LEFT), Rule(UNWRAP),
+              Rule(DEC), Rule(KEEP_LEFT), Rule(UNWRAP),
+              SUCCEED, FAIL)
+
+
+def random_toy_strategy(rng: random.Random, depth: int = 5, leaves: tuple = TOY_LEAVES):
     if depth <= 1:
-        return rng.choice([Rule(DEC), Rule(KEEP_LEFT), Rule(UNWRAP),
-                           Rule(DEC), Rule(KEEP_LEFT), Rule(UNWRAP),
-                           SUCCEED, FAIL])
+        return rng.choice(leaves)
     build = rng.randrange(10)
     if build <= 1:
-        return random_toy_strategy(rng, 1)
-    sub = lambda: random_toy_strategy(rng, depth - 1)  # noqa: E731
+        return random_toy_strategy(rng, 1, leaves)
+    sub = lambda: random_toy_strategy(rng, depth - 1, leaves)  # noqa: E731
     if build == 2:
         return Seq(sub(), sub())
     if build == 3:

@@ -8,6 +8,7 @@ from strategem.powers import (
     ADD_EXP,
     BUG_ADD_EXP,
     DIST_EXP,
+    MAX_EXPONENT_DIGITS,
     MUL_EXP,
     POWER_RULES,
     RECI_EXP,
@@ -102,6 +103,18 @@ def test_print_then_parse_round_trips(term):
 @given(st.integers(-99, 99))
 def test_exponent_round_trip(n):
     assert parse(print_expr(Power(Var("a"), n))) == Power(Var("a"), n)
+
+
+def test_exponents_are_held_to_a_fixed_number_of_digits():
+    # the same bound on every Python version, whatever its int-to-text limit
+    longest = Power(Var("a"), -(10 ** MAX_EXPONENT_DIGITS - 1))
+    assert parse(print_expr(longest)) == longest
+    too_long = Power(Var("a"), 10 ** MAX_EXPONENT_DIGITS)
+    for show in (print_expr, repr):
+        with pytest.raises(ValueError, match="exponent has too many digits to print"):
+            show(too_long)
+    with pytest.raises(ParseError, match="exponent has too many digits at position 2"):
+        parse("a^1" + "0" * MAX_EXPONENT_DIGITS)
 
 
 # ---------------------------------------------------------------------------

@@ -508,6 +508,26 @@ def test_serve_answers_after_terms_too_big_to_solve():
     assert answers[3] == '{"ok":{"ready":true}}'
 
 
+def test_serve_gives_a_fixed_message_for_an_exponent_too_long_to_print():
+    # MulExp makes an exponent of about 6,000 digits, past MAX_EXPONENT_DIGITS
+    big = "(a^" + "7" * 3000 + ")^" + "3" * 3000
+    out = io.StringIO()
+    serve(io.StringIO(req(service="derivation", exercise="powerExercise",
+                          state=wire(big)) + "\n"), out)
+    assert out.getvalue() == ('{"error":{"code":"budget-exceeded",'
+                              '"message":"exponent has too many digits to print"}}\n')
+
+
+def test_serve_reports_a_check_that_depends_on_its_own_outcome():
+    # the check asks whether x has a run, and every run of x starts with it
+    line = req(service="allfirsts", exercise="powerExercise",
+               state=wire("a^2*a^3", ref={"term": "mu x . ~x ; AddExp"}))
+    out = io.StringIO()
+    serve(io.StringIO(line + "\n"), out)
+    assert out.getvalue() == ('{"error":{"code":"budget-exceeded","message":'
+                              '"applicability check depends on its own outcome"}}\n')
+
+
 def test_serve_uses_a_custom_registry():
     registry = Registry([dataclasses.replace(EX, code="justPowers")])
     out = io.StringIO()

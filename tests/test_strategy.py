@@ -37,7 +37,9 @@ from strategem.strategy import (
     check_plan,
     choice,
     depth_effect,
+    enter_rule,
     has_minor_completion,
+    leave_rule,
     minor_sentences,
     nullable,
     option,
@@ -338,20 +340,35 @@ def test_minor_sentences_walks_navigation_to_the_end():
     assert has_minor_completion(st2)
 
 
-def test_minor_sentences_raises_when_a_minor_loop_never_ends():
-    # once(SUCCEED) completes without changing the term, so the loop's exit
-    # check asks about itself; the engine refuses instead of looping
+def test_minor_sentences_of_a_minor_loop_that_never_finishes_are_empty():
+    # once(SUCCEED) completes without changing the term and its exit check
+    # always fails, so every path comes back to the start state
     st = initial(parse("a^2"), repeat(once(SUCCEED)))
-    with pytest.raises(BudgetExceededError):
-        minor_sentences(st)
+    budget = Budget()
+    assert minor_sentences(st, budget) == ()
+    assert budget.used == 6
 
 
-def test_minor_loop_without_checks_exhausts_the_path_budget():
-    # Up/Down shuttling forever, no exit: a plain unbounded minor path
+def test_minor_sentences_find_the_exit_of_a_minor_loop():
+    # shuttling down and up returns to the start state; Up leaves the loop
+    loop = Rec("q", Choice(seq(Rule(DOWNS), Rule(UP), Var("q")), Rule(UP)))
+    root = initial(parse("(a^2)^3"), loop)
+    st = State(root.env, focus_at(root.focus, (0,)), loop)
+    assert minor_sentences(st) == ((("Up",), State(root.env, root.focus, SUCCEED)),)
     shuttle = Rec("x", Seq(Rule(DOWNS), Seq(Rule(UP), Var("x"))))
-    st = initial(parse("a^2"), shuttle)
-    with pytest.raises(BudgetExceededError):
-        minor_sentences(st)
+    assert minor_sentences(initial(parse("a^2"), shuttle)) == ()
+
+
+def test_trailing_minor_diamonds_are_walked_once_per_state():
+    # after the major, twelve two-way minor choices that meet again: 4,096
+    # minor paths, 25 distinct states (3k + 2 transitions with the check)
+    diamond = Choice(seq(Rule(enter_rule("l")), Rule(leave_rule("l"))), Check(FAIL))
+    st = initial(parse("a^2*a^3"), seq(A, *[diamond] * 12))
+    budget = Budget()
+    [(rule, end, trace)] = big_step_traced(st, budget)
+    assert rule is ADD_EXP and print_expr(unfocus(end.focus)) == "a^5"
+    assert trace == ("AddExp",) + ("AppCheck",) * 12
+    assert budget.used == 38
 
 
 def test_entering_labels_without_leaving_takes_linear_memory():
