@@ -91,16 +91,21 @@ def _solve_mode(args, registry: Registry) -> int:
         state = _start_state(args, registry)
         exercise = registry.lookup(args.exercise)
         steps = services.derivation(exercise, state)
+        final = steps[-1].state if steps else state
+        lines = ["%s -> %s" % (step.rule.name, print_expr(unfocus(step.state.focus)))
+                 for step in steps]
+        lines.append("finished: %s" % print_expr(unfocus(final.focus)))
     except (ParseError, UnknownCodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ServiceError, BudgetExceededError, LeftRecursionError) as exc:
+    # ValueError: an exponent too long to print
+    except (ServiceError, BudgetExceededError, LeftRecursionError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    for step in steps:
-        print("%s -> %s" % (step.rule.name, print_expr(unfocus(step.state.focus))))
-    final = steps[-1].state if steps else state
-    print("finished: %s" % print_expr(unfocus(final.focus)))
+    except RecursionError:
+        print("error: term nested too deeply", file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 
@@ -173,6 +178,8 @@ def _interactive_mode(args, registry: Registry) -> int:
         except (ServiceError, ParseError, ValueError, NavigationError,
                 BudgetExceededError, LeftRecursionError) as exc:
             print("error: %s" % exc)
+        except RecursionError:
+            print("error: term nested too deeply")
 
 
 def _interactive_command(session: _Session, command: str, rest: str) -> None:

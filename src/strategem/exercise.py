@@ -8,6 +8,7 @@ maps exercise codes to descriptions and is built once at startup.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -95,10 +96,16 @@ class Exercise:
 
 
 class Registry:
-    """Exercise lookup by code. Built at startup, read-only afterwards."""
+    """Exercise lookup by code. Built at startup, read-only afterwards.
+
+    A code names one exercise for the registry's life, so the registry also
+    owns what the protocol memoises per code: `replays`, the bounded LRU of
+    replayed wire traces (see protocol._replay_remaining).
+    """
 
     def __init__(self, exercises: Iterable[Exercise] = ()):
         self._by_code = {}
+        self.replays = OrderedDict()
         for ex in exercises:
             self.register(ex)
 

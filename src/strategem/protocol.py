@@ -12,6 +12,13 @@ replaying the trace against the referenced strategy from the start
 expression. When the trace left the strategy (free-form rule applications),
 the longest replayable prefix wins and the expression text still overrides,
 so the services keep answering on the student's actual term.
+
+`serve` replays each trace prefix once per process: the registry keeps a
+bounded LRU of replayed levels, so a trace one rule longer than one seen
+before costs one big step. Each response is still a function of its own
+line. A memo entry also holds what the replay charged to the request's
+budget, and a hit charges it again, so transition counts, budget-exceeded
+boundaries and check-memo contents are those of a cold replay.
 """
 
 from __future__ import annotations
@@ -297,12 +304,15 @@ def _index_path(raw, name: str) -> tuple:
     return tuple(raw)
 
 
-def deserialize_state(wire, exercise: Exercise, budget: Budget = None):
+def deserialize_state(wire, exercise: Exercise, budget: Budget = None, memo=None):
     """Rebuild a full state from its wire form.
 
     Returns (state, strategy_ref, start, trace). The remaining strategy comes
     from replaying the trace; the environment, focus path and expression text
-    in the wire take precedence over the replayed values.
+    in the wire take precedence over the replayed values. memo, when given,
+    is a registry's `replays` LRU. It is used only with a fresh budget
+    (nothing used, no check outcomes), because its entries record what a
+    replay did to a fresh budget.
     """
     _require(isinstance(wire, dict), "state must be an object")
     unknown = set(wire) - set(_STATE_FIELDS)
@@ -328,15 +338,50 @@ def deserialize_state(wire, exercise: Exercise, budget: Budget = None):
     except NavigationError:
         raise InvalidLocationError(path) from None
 
+    budget = budget if budget is not None else Budget()
+    key = None
+    if memo is not None and budget.used == 0 and not budget.check_cache:
+        ref = wire["strategyRef"]
+        # tagged, so no term text can pose as the exercise default
+        tagged = ("term", ref["term"]) if isinstance(ref, dict) else ("ref", ref)
+        key = (exercise.code, tagged, wire["start"], budget.limit)
     remaining = _replay_remaining(strategy, start, tuple(trace), env,
-                                  path, wire["expr"], budget)
+                                  path, wire["expr"], budget, memo, key)
     return State(env, zipper, remaining), wire["strategyRef"], wire["start"], list(trace)
 
 
-def _replay_remaining(strategy, start_term, trace, env, path, expr_text, budget):
-    budget = budget if budget is not None else Budget()
+# replayed levels one registry keeps; at most this many, least recent dropped
+REPLAY_MEMO_SIZE = 256
+
+
+def _replay_remaining(strategy, start_term, trace, env, path, expr_text, budget, memo, key):
+    # memo maps key + (n, running hash of the trace's first n names) to
+    # (those n names, level, stopped, used, check_cache): the states the
+    # prefix replays to, whether its last name left the strategy, and the
+    # transitions and check outcomes the replay left in a fresh budget. The
+    # running hashes make the longest-prefix search linear in the trace, and
+    # a stored prefix ends at the first name that left the strategy, so no
+    # entry is longer than the replay it saves. No key, no memo.
     states = [State(Environment(), focus_root(start_term), strategy)]
-    for name in trace:
+    done, stopped = 0, False
+    if key is not None:
+        running = [0]
+        for name in trace:
+            running.append(hash((running[-1], name)))
+        for n in range(len(trace), 0, -1):
+            prefix_key = key + (n, running[n])
+            entry = memo.get(prefix_key)
+            if entry is not None and entry[0] == trace[:n]:
+                memo.move_to_end(prefix_key)
+                _, states, stopped, used, cache = entry
+                budget.tick(used)
+                budget.check_cache.update(cache)
+                done = n
+                break
+    reached = done
+    while not stopped and reached < len(trace):
+        name = trace[reached]
+        reached += 1
         level = []
         seen = set()
         for st in states:
@@ -344,9 +389,15 @@ def _replay_remaining(strategy, start_term, trace, env, path, expr_text, budget)
                 if rule.name == name and succ not in seen:
                     seen.add(succ)
                     level.append(succ)
-        if not level:
-            break  # trace left the strategy; keep the longest replayable prefix
-        states = level
+        if level:
+            states = level
+        else:
+            stopped = True  # trace left the strategy; keep the longest replayable prefix
+    if key is not None and reached > done:
+        memo[key + (reached, running[reached])] = (
+            trace[:reached], states, stopped, budget.used, dict(budget.check_cache))
+        if len(memo) > REPLAY_MEMO_SIZE:
+            memo.popitem(last=False)
 
     # an exact match wins, then one at the same position, then any state
     positional = [st for st in states if st.env == env and st.focus.path == path]
@@ -450,7 +501,8 @@ def _dispatch(service: str, request: dict, registry: Registry):
         start = print_expr(unfocus(state.focus))
         return {"state": serialize_state(state, EXERCISE_DEFAULT_REF, start, [])}
 
-    state, ref, start, trace = deserialize_state(request["state"], exercise, budget)
+    state, ref, start, trace = deserialize_state(request["state"], exercise, budget,
+                                                 registry.replays)
 
     if service == "allfirsts":
         candidates = services.allfirsts(exercise, state, budget)

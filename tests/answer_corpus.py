@@ -5,12 +5,16 @@
 Run from the root of a checkout whose answers are the reference; it writes
 tests/answer_corpus.json, which tests/test_answer_corpus.py checks every
 answer against. Given sample ids (such as toy:69), it re-records only
-those and keeps every other entry. Three groups of samples:
+those and keeps every other entry. Four groups of samples:
 
 - toy: seeded random_toy_strategy/random_toy_term samples, every tenth
   followed by a trailing minor loop (LOOP_TAIL);
 - nav: the same shapes over a vocabulary with raw Up/Left/Right/Down(i)/
   Downs atoms, started at a random position of the term;
+- inner: started at a Power, Mul or Recip node, where a toy rule applies,
+  with that rule followed by a random toy strategy. Most toy and nav
+  samples have no big step at all; these have one, and their end states
+  run the random strategy on a rewritten node;
 - power: derivation and allfirsts from generated easy, medium and hard
   exercises, seeds 0-499.
 
@@ -30,7 +34,15 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
-from conftest import TOY_LEAVES, initial, random_toy_strategy, random_toy_term
+from conftest import (
+    DEC,
+    KEEP_LEFT,
+    TOY_LEAVES,
+    UNWRAP,
+    initial,
+    random_toy_strategy,
+    random_toy_term,
+)
 from strategem import services
 from strategem.exercise import power_exercise
 from strategem.navigation import (
@@ -41,9 +53,10 @@ from strategem.navigation import (
     down_rule,
     focus_at,
     positions,
+    term_at,
     unfocus,
 )
-from strategem.powers import generate_power, print_expr
+from strategem.powers import Mul, Power, Recip, generate_power, print_expr
 from strategem.protocol import print_term
 from strategem.strategy import (
     Budget,
@@ -63,6 +76,7 @@ CORPUS = Path(__file__).with_name("answer_corpus.json")
 
 TOY_SAMPLES = 3000
 NAV_SAMPLES = 2000
+INNER_SAMPLES = 1000
 POWER_SEEDS = range(500)
 DIFFICULTIES = ("easy", "medium", "hard")
 SAMPLE_BUDGET = 20_000
@@ -92,6 +106,21 @@ def nav_sample(index: int) -> State:
     start = initial(term, strategy)
     path = rng.choice(positions(term))
     return State(start.env, focus_at(start.focus, path), strategy)
+
+
+# the toy rule that applies at each kind of inner node
+RULE_AT = {Power: Rule(DEC), Mul: Rule(KEEP_LEFT), Recip: Rule(UNWRAP)}
+
+
+def inner_sample(index: int) -> State:
+    rng = random.Random("inner:%d" % index)
+    strategy = random_toy_strategy(rng)
+    term = random_toy_term(rng)
+    while type(term) not in RULE_AT:
+        term = random_toy_term(rng)
+    path = rng.choice([p for p in positions(term) if type(term_at(term, p)) in RULE_AT])
+    start = initial(term, Seq(RULE_AT[type(term_at(term, path))], strategy))
+    return State(start.env, focus_at(start.focus, path), start.remaining)
 
 
 def show_state(state: State) -> list:
@@ -156,6 +185,8 @@ def samples():
         yield "toy:%d" % i, lambda i=i: big_step_answers(toy_sample(i))
     for i in range(NAV_SAMPLES):
         yield "nav:%d" % i, lambda i=i: big_step_answers(nav_sample(i))
+    for i in range(INNER_SAMPLES):
+        yield "inner:%d" % i, lambda i=i: big_step_answers(inner_sample(i))
     for difficulty in DIFFICULTIES:
         for seed in POWER_SEEDS:
             yield ("power:%s:%d" % (difficulty, seed),

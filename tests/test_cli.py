@@ -63,6 +63,17 @@ def test_solve_with_a_tiny_budget_exits_1(capsys):
     assert err.startswith("error: ")
 
 
+def test_solve_reports_an_exponent_too_long_to_print(capsys):
+    # MulExp makes an exponent of about 6,000 digits
+    code, out, err = run(capsys, ["--mode", "solve", "(a^%s)^%s" % ("7" * 3000, "3" * 3000)])
+    assert (code, out, err) == (1, "", "error: exponent has too many digits to print\n")
+
+
+def test_solve_reports_a_term_too_deep_to_solve(capsys):
+    code, out, err = run(capsys, ["--mode", "solve", "1/" * 900 + "a"])
+    assert (code, out, err) == (1, "", "error: term nested too deeply\n")
+
+
 # ---------------------------------------------------------------------------
 # lint
 
@@ -194,6 +205,12 @@ def test_interactive_errors_do_not_end_the_session(capsys, monkeypatch):
     assert lines[3].startswith("error: ")           # rule not applicable at []
     assert lines[4] == "unknown command 'frobnicate', try help"
     assert lines[5] == "(a^3*a^4)^2"
+
+
+def test_interactive_survives_a_term_too_deep_to_solve(capsys, monkeypatch):
+    code, out, _ = script(capsys, monkeypatch, ["solve", "quit"], argv=["1/" * 900 + "a"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["error: term nested too deeply"]
 
 
 def test_interactive_help_and_eof(capsys, monkeypatch):

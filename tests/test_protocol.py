@@ -3,11 +3,22 @@
 import dataclasses
 import io
 import json
+from collections import OrderedDict
 
 import pytest
 
-from strategem.exercise import Registry, power_exercise
-from strategem.navigation import DOWNS, LEFT, RIGHT, UP, down_env_rule, down_rule
+from strategem import protocol, services
+from strategem.exercise import Registry, default_registry, power_exercise
+from strategem.navigation import (
+    DOWNS,
+    LEFT,
+    RIGHT,
+    UP,
+    down_env_rule,
+    down_rule,
+    positions,
+    unfocus,
+)
 from strategem.powers import ADD_EXP, MUL_EXP, parse, print_expr
 from strategem.protocol import (
     EXERCISE_DEFAULT_REF,
@@ -21,10 +32,12 @@ from strategem.protocol import (
     serialize_state,
     serve,
 )
-from strategem.services import initial_state
+from strategem.services import RuleNotApplicableError, initial_state
 from strategem.strategy import (
     FAIL,
     SUCCEED,
+    Budget,
+    BudgetExceededError,
     Check,
     Choice,
     Label,
@@ -34,6 +47,7 @@ from strategem.strategy import (
     Var,
     enter_rule,
     leave_rule,
+    with_step_budget,
 )
 
 EX = power_exercise()
@@ -153,10 +167,6 @@ def test_deserialize_fresh_state():
 
 
 def test_deserialize_replays_the_trace_onto_the_strategy():
-    from strategem import services
-
-    from strategem.navigation import unfocus
-
     state0 = initial_state(EX, parse("(a^3*a^4)^2"))
     cand = services.onefirst(EX, state0)
     round_tripped, _, _, _ = deserialize_state(
@@ -534,3 +544,157 @@ def test_serve_uses_a_custom_registry():
     serve(io.StringIO(req(service="ready", exercise="justPowers",
                           state=wire("a^14")) + "\n"), out, registry)
     assert out.getvalue() == '{"ok":{"ready":true}}\n'
+
+
+# ---------------------------------------------------------------------------
+# the replay memo
+
+def rewrite_location(expr, rule, result):
+    """The path at which rule rewrites expr into result."""
+    state = initial_state(EX, parse(expr))
+    for path in positions(state.focus.focus):
+        try:
+            done = services.apply(EX, rule, path, state)
+        except RuleNotApplicableError:
+            continue
+        if print_expr(unfocus(done.focus)) == result:
+            return list(path)
+    raise AssertionError("%s does not rewrite %s into %s" % (rule, expr, result))
+
+
+def tutor_lines(difficulty, seed):
+    """Request lines of one tutor session in the benchmark's request mix,
+    each built from the cold answer to the line before, and those answers."""
+    lines, answers = [], []
+
+    def ask(**request):
+        lines.append(req(exercise="powerExercise", **request))
+        answers.append(handle_request(lines[-1]))
+        return json.loads(answers[-1]).get("ok")
+
+    start = state = ask(service="generate", difficulty=difficulty, seed=seed)["state"]
+    while not ask(service="ready", state=state)["ready"]:
+        ask(service="stepsremaining", state=state)
+        ask(service="allfirsts", state=state)
+        hint = ask(service="onefirst", state=state)
+        for text in (hint["state"]["expr"], "z*" + state["expr"]):
+            ask(service="diagnose", state=state, expression=text)
+        location = rewrite_location(state["expr"], hint["rule"], hint["state"]["expr"])
+        ask(service="applicable", state=state, location=location)
+        state = ask(service="apply", state=state, rule=hint["rule"], location=location)["state"]
+    ask(service="derivation", state=start)
+    return lines, answers
+
+
+def test_serve_through_one_memo_answers_like_cold_requests():
+    lines, cold = [], []
+    for difficulty in ("easy", "medium", "hard"):
+        for seed in range(15):
+            more_lines, more_answers = tutor_lines(difficulty, seed)
+            lines += more_lines
+            cold += more_answers
+    registry = default_registry()
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out, registry)
+    assert out.getvalue().splitlines() == cold
+    assert registry.replays  # the memo was used
+
+
+def session_wires(expr):
+    """The wire states a run of onefirst hints walks through from expr."""
+    wires = [wire(expr)]
+    while True:
+        hint = json.loads(handle_request(req(service="onefirst", exercise="powerExercise",
+                                             state=wires[-1]))).get("ok")
+        if hint is None:
+            return wires
+        wires.append(hint["state"])
+
+
+HARD = "(a^7)^4*a^5*a^3"  # replays MulExp, AddExp, AddExp
+
+
+def replay(wire_, budget, memo=None):
+    state = deserialize_state(wire_, EX, budget, memo)[0]
+    return state, budget.used, list(budget.check_cache.items())
+
+
+def test_cold_and_warm_replays_leave_the_same_budget():
+    memo = OrderedDict()
+    wires = session_wires(HARD)[1:]
+    # the trace leaves the strategy at ReciExp, and so does every extension
+    off = [dict(wires[0], trace=wires[0]["trace"] + tail)
+           for tail in (["ReciExp"], ["ReciExp", "AddExp"])]
+    for w in wires + off:
+        cold = replay(w, Budget())
+        assert cold[2]  # the replay leaves check outcomes behind
+        assert replay(w, Budget(), memo) == cold  # extends the memoised prefix
+        assert replay(w, Budget(), memo) == cold  # a hit on the whole trace
+    assert len(memo) == len(wires) + 1  # a stopped prefix answers its extensions
+
+    # a budget that already holds check outcomes replays cold
+    def primed():
+        budget = Budget()
+        budget.check_cache.update(replay(wires[-1], Budget())[2])
+        return budget
+
+    assert replay(wires[-1], primed(), memo) == replay(wires[-1], primed())
+
+
+def test_prefixes_with_equal_running_hashes_are_told_apart(monkeypatch):
+    monkeypatch.setattr(protocol, "hash", lambda value: 0, raising=False)
+    on, off = session_wires(HARD)[1], wire(HARD, trace=["ReciExp"])
+    memo = OrderedDict()
+    for w in (on, off):
+        assert replay(w, Budget(), memo) == replay(w, Budget())
+    # both keys are equal, so the later entry took the earlier one's place
+    assert [entry[0] for entry in memo.values()] == [("ReciExp",)]
+
+
+def test_a_replay_out_of_budget_answers_the_same_cold_and_warm():
+    *_, prefix, full = session_wires(HARD)
+    limit = (replay(prefix, Budget())[1] + replay(full, Budget())[1]) // 2
+    memo = OrderedDict()
+    replay(prefix, Budget(), memo)
+    replay(prefix, Budget(limit), memo)
+    # out of budget past a memoised prefix, and short of one memoised under
+    # a larger budget
+    for w, budget_limit in ((full, limit), (prefix, limit // 2)):
+        with pytest.raises(BudgetExceededError) as cold:
+            replay(w, Budget(budget_limit))
+        with pytest.raises(BudgetExceededError) as warm:
+            replay(w, Budget(budget_limit), memo)
+        assert (str(warm.value), warm.value.used) == (str(cold.value), cold.value.used)
+    assert len(memo) == 2
+
+    line = req(service="stepsremaining", exercise="powerExercise", state=full)
+    registry = default_registry()
+    with with_step_budget(limit):
+        handle_request(req(service="ready", exercise="powerExercise", state=prefix), registry)
+        assert handle_request(line, registry) == handle_request(line)
+    assert len(registry.replays) == 1
+
+
+def test_a_stored_prefix_ends_where_the_trace_left_the_strategy():
+    registry = default_registry()
+    lines = [req(service="ready", exercise="powerExercise",
+                 state=wire("a^14", start=HARD, trace=["MulExp", "ReciExp"] + [name] * 20000))
+             for name in ("AddExp", "MulExp")]
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out, registry)
+    assert out.getvalue().splitlines() == [handle_request(line) for line in lines]
+    [(stored, _, stopped, _, _)] = registry.replays.values()
+    assert (stored, stopped) == (("MulExp", "ReciExp"), True)
+
+
+def test_the_memo_keeps_at_most_its_size(monkeypatch):
+    monkeypatch.setattr(protocol, "REPLAY_MEMO_SIZE", 3)
+    registry = default_registry()
+    lines = [req(service="ready", exercise="powerExercise", state=w)
+             for expr in (HARD, "(a^3*a^4)^2", "a^6*a^3*a^8") for w in session_wires(expr)]
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out, registry)
+    assert out.getvalue().splitlines() == [handle_request(line) for line in lines]
+    # seven distinct non-empty traces; empty ones are never stored
+    assert len(registry.replays) == 3
+    assert all(entry[0] for entry in registry.replays.values())
