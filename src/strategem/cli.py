@@ -10,16 +10,10 @@ from typing import List, Optional
 from . import protocol, services
 from .exercise import Registry, UnknownCodeError, default_registry
 from .lint import lint_strategy
-from .navigation import NavigationError, replace_at, term_at, unfocus
-from .powers import ParseError, parse, print_expr
-from .protocol import TermParseError, parse_term
-from .services import ServiceError
-from .strategy import (
-    BudgetExceededError,
-    LeftRecursionError,
-    State,
-    with_step_budget,
-)
+from .navigation import replace_at, term_at, unfocus
+from .powers import parse, print_expr
+from .protocol import ANSWERED, TermParseError, failure_answer, parse_term
+from .strategy import State, default_budget_limit, with_step_budget
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,7 +36,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.budget is None:
+        # a malformed STRATEGEM_BUDGET is a deployment fault: report it once,
+        # not as every request's answer
+        try:
+            default_budget_limit()
+        except ValueError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+    elif args.budget <= 0:
+        parser.error("argument --budget: must be positive, got %d" % args.budget)
     guard = with_step_budget(args.budget) if args.budget is not None else nullcontext()
     registry = default_registry()
     with guard:
@@ -95,18 +100,18 @@ def _solve_mode(args, registry: Registry) -> int:
         lines = ["%s -> %s" % (step.rule.name, print_expr(unfocus(step.state.focus)))
                  for step in steps]
         lines.append("finished: %s" % print_expr(unfocus(final.focus)))
-    except (ParseError, UnknownCodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    # ValueError: an exponent too long to print
-    except (ServiceError, BudgetExceededError, LeftRecursionError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: term nested too deeply", file=sys.stderr)
-        return 1
+    except ANSWERED as exc:
+        return _report_failure(exc)
     print("\n".join(lines))
     return 0
+
+
+def _report_failure(exc: Exception) -> int:
+    """Print the wire message for exc to stderr; the exit status: 2 for a
+    bad input or name, 1 for a failure to solve."""
+    code, message = failure_answer(exc)
+    print("error: %s" % message, file=sys.stderr)
+    return 2 if code in ("parse-error", "unknown-code") else 1
 
 
 def _parse_location(text: str) -> tuple:
@@ -154,9 +159,8 @@ def _interactive_mode(args, registry: Registry) -> int:
     try:
         exercise = registry.lookup(args.exercise)
         state = _start_state(args, registry)
-    except (ParseError, UnknownCodeError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    except ANSWERED as exc:
+        return _report_failure(exc)
     session = _Session(exercise, state)
     print("exercise %s: %s" % (exercise.code, print_expr(session.term())))
     prompt = "> " if sys.stdin.isatty() else ""
@@ -175,11 +179,8 @@ def _interactive_mode(args, registry: Registry) -> int:
             return 0
         try:
             _interactive_command(session, command, rest)
-        except (ServiceError, ParseError, ValueError, NavigationError,
-                BudgetExceededError, LeftRecursionError) as exc:
-            print("error: %s" % exc)
-        except RecursionError:
-            print("error: term nested too deeply")
+        except ANSWERED as exc:
+            print("error: %s" % failure_answer(exc)[1])
 
 
 def _interactive_command(session: _Session, command: str, rest: str) -> None:

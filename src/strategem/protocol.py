@@ -23,6 +23,7 @@ boundaries and check-memo contents are those of a cold replay.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 import sys
@@ -42,7 +43,7 @@ from .navigation import (
     focus_root,
     unfocus,
 )
-from .powers import POWER_RULES, ParseError, parse, print_expr
+from .powers import MAX_EXPONENT_DIGITS, POWER_RULES, ParseError, parse, print_expr
 from .services import (
     InvalidLocationError,
     NoGeneratorError,
@@ -434,14 +435,59 @@ def _error(code: str, message: str) -> str:
     return _encode({"error": {"code": code, "message": message}})
 
 
+def _bounded_int(text: str) -> int:
+    # the interpreter's own limit is version-dependent and its text names a
+    # Python call, so the decoder applies the bound itself
+    if len(text.lstrip("-")) > MAX_EXPONENT_DIGITS:
+        raise WireFormatError("bad JSON: integer longer than %d digits" % MAX_EXPONENT_DIGITS)
+    return int(text)
+
+
+def _decode(line: str):
+    try:
+        return json.loads(line, parse_int=_bounded_int)
+    except RecursionError:
+        raise WireFormatError("bad JSON: nested too deeply") from None
+
+
+# Which failure gives which answer: (exception classes, error code, message
+# template filled with the exception's text). The first entry that matches
+# wins, so the ValueError subclasses come before the ValueError catch-all.
+# The budget bounds all work, term size included: a term that parsed but is
+# too deep for the recursive term code, or an exponent too long to print,
+# exhausts it like a long search does. An exception the table does not name
+# is a bug, not an answer, and propagates.
+FAILURES = (
+    ((json.JSONDecodeError,), "parse-error", "bad JSON: {}"),
+    ((WireFormatError, ParseError, TermParseError), "parse-error", "{}"),
+    # the closed error code set has no better fit for a missing generator
+    ((UnknownCodeError, NoGeneratorError), "unknown-code", "{}"),
+    ((InvalidLocationError, NavigationError), "invalid-location", "{}"),
+    ((RuleNotApplicableError,), "rule-not-applicable", "{}"),
+    ((BudgetExceededError,), "budget-exceeded", "{}"),
+    # execution guard, reported like the budget it replaces
+    ((LeftRecursionError,), "budget-exceeded", "left-recursive strategy: {}"),
+    ((NoStepAvailableError, StuckError), "no-step-available", "{}"),
+    ((RecursionError,), "budget-exceeded", "term nested too deeply"),
+    ((ValueError,), "budget-exceeded", "{}"),
+)
+
+# every class FAILURES names, for an `except` clause
+ANSWERED = tuple(cls for classes, _, _ in FAILURES for cls in classes)
+
+
+def failure_answer(exc: BaseException) -> tuple:
+    """The (code, message) FAILURES gives an exception of an ANSWERED class."""
+    for classes, code, template in FAILURES:
+        if isinstance(exc, classes):
+            return code, template.format(exc)
+    raise exc
+
+
 def handle_request(line: str, registry: Registry = None) -> str:
     registry = registry if registry is not None else default_registry()
     try:
-        request = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return _error("parse-error", "bad JSON: %s" % exc)
-
-    try:
+        request = _decode(line)
         _require(isinstance(request, dict), "request must be an object")
         service = request.get("service")
         _require(isinstance(service, str), "request must name a service")
@@ -455,31 +501,8 @@ def handle_request(line: str, registry: Registry = None) -> str:
         _require(not missing, "missing fields: %s" % ", ".join(sorted(missing)))
 
         return _ok(_dispatch(service, request, registry))
-    except (WireFormatError, ParseError, TermParseError) as exc:
-        return _error("parse-error", str(exc))
-    except UnknownCodeError as exc:
-        return _error("unknown-code", str(exc))
-    except NoGeneratorError as exc:
-        # the closed error code set has no better fit for a missing generator
-        return _error("unknown-code", str(exc))
-    except (InvalidLocationError, NavigationError) as exc:
-        return _error("invalid-location", str(exc))
-    except RuleNotApplicableError as exc:
-        return _error("rule-not-applicable", str(exc))
-    except BudgetExceededError as exc:
-        return _error("budget-exceeded", str(exc))
-    except LeftRecursionError as exc:
-        # execution guard, reported like the budget it replaces
-        return _error("budget-exceeded", "left-recursive strategy: %s" % exc)
-    except (NoStepAvailableError, StuckError) as exc:
-        return _error("no-step-available", str(exc))
-    # The budget bounds all work, term size included: a term that parsed but
-    # is too deep for the recursive term code, or an exponent past Python's
-    # int-digit limit, exhausts it like a long search does.
-    except RecursionError:
-        return _error("budget-exceeded", "term nested too deeply")
-    except ValueError as exc:
-        return _error("budget-exceeded", str(exc))
+    except ANSWERED as exc:
+        return _error(*failure_answer(exc))
 
 
 def _dispatch(service: str, request: dict, registry: Registry):
@@ -566,8 +589,16 @@ def _string_field(request: dict, field: str) -> str:
 
 
 def serve(stdin: TextIO = None, stdout: TextIO = None, registry: Registry = None) -> None:
-    """Answer JSON-lines requests until end of input."""
-    stdin = stdin if stdin is not None else sys.stdin
+    """Answer JSON-lines requests until end of input.
+
+    Without a stdin argument it reads sys.stdin as UTF-8 whatever the locale.
+    Bytes that are not UTF-8 reach the JSON decoder as lone surrogates and
+    answer parse-error, where strict decoding would end the loop.
+    """
+    if stdin is None:
+        stdin = sys.stdin
+        if isinstance(stdin, io.TextIOWrapper):
+            stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
     stdout = stdout if stdout is not None else sys.stdout
     registry = registry if registry is not None else default_registry()
     for line in stdin:

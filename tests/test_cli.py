@@ -74,6 +74,24 @@ def test_solve_reports_a_term_too_deep_to_solve(capsys):
     assert (code, out, err) == (1, "", "error: term nested too deeply\n")
 
 
+def test_budget_must_be_positive(capsys):
+    for budget in ("0", "-5"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--mode", "solve", "--budget", budget, "a^2"])
+        assert exit_info.value.code == 2
+        assert "--budget: must be positive, got %s" % budget in capsys.readouterr().err
+
+
+def test_a_bad_budget_variable_is_reported_once_at_start_up(capsys, monkeypatch):
+    monkeypatch.setenv("STRATEGEM_BUDGET", "abc")
+    code, out, err = run(capsys, ["--mode", "serve"], stdin="{bad\n{bad\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: STRATEGEM_BUDGET must be an integer, got 'abc'\n")
+    # --budget takes the variable's place, so it is never read
+    code, out, _ = run(capsys, ["--mode", "solve", "--budget", "10000", "a^2*a^3"])
+    assert (code, out) == (0, "AddExp -> a^5\nfinished: a^5\n")
+
+
 # ---------------------------------------------------------------------------
 # lint
 

@@ -1,11 +1,14 @@
 """Wire protocol: strategy term syntax, state serialization, JSON-lines server."""
 
+import copy
 import dataclasses
 import io
 import json
 from collections import OrderedDict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strategem import protocol, services
 from strategem.exercise import Registry, default_registry, power_exercise
@@ -445,6 +448,30 @@ def test_json_booleans_are_not_integers():
         assert error_code(handle_request(request)) == "parse-error"
 
 
+def test_decode_faults_answer_fixed_parse_errors():
+    # the same bytes on every Python version: the interpreter's recursion and
+    # int-digit limits never reach the wire
+    generate = '{"service":"generate","exercise":"powerExercise","seed":%s}'
+    lines = ["[" * 100000, generate % ("9" * 5000), generate % ("-" + "9" * 4301), "\udcff"]
+    assert [handle_request(line) for line in lines] == [
+        '{"error":{"code":"parse-error","message":"bad JSON: nested too deeply"}}',
+        '{"error":{"code":"parse-error","message":"bad JSON: integer longer than 4300 digits"}}',
+        '{"error":{"code":"parse-error","message":"bad JSON: integer longer than 4300 digits"}}',
+        '{"error":{"code":"parse-error","message":'
+        '"bad JSON: Expecting value: line 1 column 1 (char 0)"}}',
+    ]
+    assert "ok" in json.loads(handle_request(generate % ("-" + "9" * 4300)))
+
+
+def test_an_exception_the_failure_table_does_not_name_propagates(monkeypatch):
+    def broken(exercise, state):
+        raise TypeError("a bug, not an answer")
+
+    monkeypatch.setattr(services, "ready", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        handle_request(req(service="ready", exercise="powerExercise", state=wire("a^14")))
+
+
 def test_responses_are_canonical_json():
     lines = [
         req(service="derivation", exercise="powerExercise", state=wire("(a^3*a^4)^2")),
@@ -698,3 +725,79 @@ def test_the_memo_keeps_at_most_its_size(monkeypatch):
     # seven distinct non-empty traces; empty ones are never stored
     assert len(registry.replays) == 3
     assert all(entry[0] for entry in registry.replays.values())
+
+
+def test_serve_reads_stdin_as_utf8_whatever_the_locale(monkeypatch):
+    raw = b"\xff\n" + '{"service":"\u00e9"}\n'.encode() + \
+        req(service="ready", exercise="powerExercise", state=wire("a^14")).encode() + b"\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="ascii"))
+    out = io.StringIO()
+    serve(stdout=out)
+    assert out.getvalue().splitlines() == [
+        '{"error":{"code":"parse-error","message":'
+        '"bad JSON: Expecting value: line 1 column 1 (char 0)"}}',
+        '{"error":{"code":"unknown-service","message":"no service named \'\\u00e9\'"}}',
+        '{"ok":{"ready":true}}',
+    ]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every non-blank line gets exactly one well-formed answer
+
+ERROR_CODES = {"parse-error", "unknown-service", "unknown-code", "invalid-location",
+               "rule-not-applicable", "budget-exceeded", "no-step-available"}
+
+VALID_REQUESTS = [
+    {"service": "generate", "exercise": "powerExercise", "difficulty": "easy", "seed": 3},
+    {"service": "allfirsts", "exercise": "powerExercise", "state": wire("a^2*a^3")},
+    {"service": "onefirst", "exercise": "powerExercise",
+     "state": wire("(a^7)^2", start="(a^3*a^4)^2", trace=["AddExp"])},
+    {"service": "apply", "exercise": "powerExercise", "rule": "AddExp", "location": [0],
+     "state": wire("(a^3*a^4)^2")},
+    {"service": "diagnose", "exercise": "powerExercise", "expression": "(a^7)^2",
+     "state": wire("(a^3*a^4)^2", ref={"term": "mu x . (AddExp | MulExp) ; x | succeed"})},
+    {"service": "lint", "strategy": "mu x . Downs ; x | AddExp"},
+]
+
+LINE_TEXT = st.text(alphabet=st.characters(exclude_characters="\n"), max_size=40)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | LINE_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(LINE_TEXT, inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_requests(draw):
+    request = copy.deepcopy(draw(st.sampled_from(VALID_REQUESTS)))
+    target = request["state"] if "state" in request and draw(st.booleans()) else request
+    key = draw(st.sampled_from(sorted(target) + ["extra"]))
+    if draw(st.booleans()):
+        target.pop(key, None)
+    else:
+        target[key] = draw(JSON_VALUES)
+    line = json.dumps(request)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, len(line)))
+        end = start + draw(st.integers(0, 3))
+        line = line[:start] + draw(LINE_TEXT) + line[end:]
+    return line
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(LINE_TEXT | mutated_requests(), max_size=4))
+@example(["[" * 100000])
+@example(['{"service":"generate","exercise":"powerExercise","seed":%s}' % ("9" * 5000)])
+@example(["\udcff"])
+def test_serve_answers_every_line_once(lines):
+    out = io.StringIO()
+    serve(io.StringIO("".join(line + "\n" for line in lines)), out)
+    answers = out.getvalue().splitlines()
+    assert len(answers) == sum(1 for line in lines if line.strip())
+    for answer in answers:
+        body = json.loads(answer)
+        assert list(body) in (["ok"], ["error"])
+        if "error" in body:
+            assert sorted(body["error"]) == ["code", "message"]
+            assert body["error"]["code"] in ERROR_CODES
+            assert isinstance(body["error"]["message"], str)
