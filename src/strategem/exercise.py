@@ -33,6 +33,7 @@ from .strategy import (
     RewriteRule,
     Rule,
     Strategy,
+    _kept_on_node,
     choice,
     repeat,
     rules_of,
@@ -70,10 +71,12 @@ class Exercise:
     generator: Callable = None  # (difficulty, seed) -> term
     rule_order: tuple = ()  # major rule names, smallest first
 
+    @_kept_on_node
     def strategy_rules(self) -> tuple:
         """Major rules appearing in the strategy tree, first occurrence order."""
         return tuple(r for r in rules_of(self.strategy) if not r.minor)
 
+    @_kept_on_node
     def major_rules(self) -> tuple:
         """Majors of the strategy followed by the extra rule set, deduplicated."""
         out = {}

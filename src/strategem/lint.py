@@ -71,24 +71,23 @@ def _unguarded_free(atom: Strategy) -> bool:
 _FREE = {"transparent": _unguarded_free, "opaque": nothing_free}
 
 
-def _reaches_var(node: Strategy, var: str, free, names: frozenset) -> bool:
+def _reaches_var(node: Strategy, var: str, free) -> bool:
     # is Var(var) reachable at the leftmost consumable position?
     t = type(node)
     if t is Var:
         return node.name == var
     if t is Seq:
-        if _reaches_var(node.left, var, free, names):
+        if _reaches_var(node.left, var, free):
             return True
-        return passable(node.left, free, names) and _reaches_var(node.right, var, free, names)
+        return passable(node.left, free) and _reaches_var(node.right, var, free)
     if t is Choice:
-        return (_reaches_var(node.left, var, free, names)
-                or _reaches_var(node.right, var, free, names))
+        return _reaches_var(node.left, var, free) or _reaches_var(node.right, var, free)
     if t is Label:
-        return free(Rule(enter_rule(node.name))) and _reaches_var(node.body, var, free, names)
+        return free(Rule(enter_rule(node.name))) and _reaches_var(node.body, var, free)
     if t is Rec:
         if node.var == var:  # inner binder shadows the variable we track
             return False
-        return _reaches_var(node.body, var, free, names)
+        return _reaches_var(node.body, var, free)
     # rule atoms consume, checks are opaque atoms, units reach nothing
     return False
 
@@ -98,11 +97,9 @@ def detect_left_recursion(s: Strategy, mode: str = "transparent") -> tuple:
     before anything was consumed."""
     _check_mode(mode)
     free = _FREE[mode]
-    # binding every variable name makes each variable fail, never raise
-    names = frozenset(node.name for _, node in walk(s) if type(node) is Var)
     findings = []
     for path, node in walk(s):
-        if type(node) is Rec and _reaches_var(node.body, node.var, free, names):
+        if type(node) is Rec and _reaches_var(node.body, node.var, free):
             findings.append(LintFinding(
                 kind="LeftRecursion",
                 path=path,

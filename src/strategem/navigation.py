@@ -9,7 +9,6 @@ traversal strategies like somewhere and bottom_up are plain strategy trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Iterable
 
 from .strategy import (
@@ -183,7 +182,6 @@ LEFT = RewriteRule(name="Left", transform=_left_transform, minor=True, depth=(1,
 RIGHT = RewriteRule(name="Right", transform=_right_transform, minor=True, depth=(1, 0))
 
 
-@lru_cache(maxsize=None)
 def down_rule(index: int) -> RewriteRule:
     """Descend into one fixed child position."""
 
@@ -198,7 +196,6 @@ def down_rule(index: int) -> RewriteRule:
     )
 
 
-@lru_cache(maxsize=None)
 def down_env_rule(key: str) -> RewriteRule:
     """Descend into the child whose index is stored in the environment."""
 

@@ -68,8 +68,10 @@ from .strategy import (
     Succeed,
     Var,
     big_step,
+    choice,
     enter_rule,
     leave_rule,
+    seq,
     state_sort_key,
 )
 
@@ -142,20 +144,14 @@ class _TermParser:
         while self.peek() == "|":
             self.take()
             parts.append(self.seq(bound))
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Choice(p, out)
-        return out
+        return choice(*parts)
 
     def seq(self, bound: frozenset) -> Strategy:
         parts = [self.prefix(bound)]
         while self.peek() == ";":
             self.take()
             parts.append(self.prefix(bound))
-        out = parts[-1]
-        for p in reversed(parts[:-1]):
-            out = Seq(p, out)
-        return out
+        return seq(*parts)
 
     def prefix(self, bound: frozenset) -> Strategy:
         if self.peek() == "~":
@@ -443,11 +439,23 @@ def _bounded_int(text: str) -> int:
     return int(text)
 
 
+# Valid requests nest at most 4 deep. The decoder's own limit is the
+# interpreter's recursion limit, which differs between Python versions; this
+# bound is checked first and keeps it out of reach.
+MAX_JSON_DEPTH = 500
+_JSON_TOKEN = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[{\]}]')
+_NESTING = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
 def _decode(line: str):
-    try:
-        return json.loads(line, parse_int=_bounded_int)
-    except RecursionError:
-        raise WireFormatError("bad JSON: nested too deeply") from None
+    # brackets inside strings do not nest; a line with few brackets needs no scan
+    if line.count("[") + line.count("{") > MAX_JSON_DEPTH:
+        depth = 0
+        for token in _JSON_TOKEN.finditer(line):
+            depth += _NESTING.get(token.group(), 0)
+            if depth > MAX_JSON_DEPTH:
+                raise WireFormatError("bad JSON: nested too deeply")
+    return json.loads(line, parse_int=_bounded_int)
 
 
 # Which failure gives which answer: (exception classes, error code, message

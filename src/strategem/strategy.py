@@ -19,7 +19,6 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -385,7 +384,21 @@ def _substitute(node: Strategy, var: str, replacement: Strategy) -> Strategy:
     return node
 
 
-@lru_cache(maxsize=None)
+def _kept_on_node(fn):
+    # fn(s), computed on first use and kept in s's own dict as cached_hash
+    # keeps _hash, so it dies with s; for strategy nodes and exercises
+    slot = "_" + fn.__name__
+
+    def wrapper(s):
+        d = s.__dict__
+        if slot not in d:
+            d[slot] = fn(s)
+        return d[slot]
+
+    return wrapper
+
+
+@_kept_on_node
 def _unroll_rec(rec: Rec) -> Strategy:
     return _substitute(rec.body, rec.var, rec)
 
@@ -400,7 +413,6 @@ def unroll(s: Strategy) -> Strategy:
 # ---------------------------------------------------------------------------
 # label expansion rules and the check pseudo rule
 
-@lru_cache(maxsize=None)
 def enter_rule(label: str) -> RewriteRule:
     def transform(env, focus):
         return ((env.push_label(label), focus),)
@@ -411,7 +423,6 @@ def enter_rule(label: str) -> RewriteRule:
     )
 
 
-@lru_cache(maxsize=None)
 def leave_rule(label: str) -> RewriteRule:
     def transform(env, focus):
         if env.in_label(label):
@@ -436,74 +447,56 @@ APP_CHECK = RewriteRule(
 
 
 # ---------------------------------------------------------------------------
-# emptiness analysis
+# structural analyses
+#
+# Facts about a strategy value, kept on its node (_kept_on_node). A variable,
+# bound or not, is impassable, not total and (0, 0) deep, which is the least
+# fixed point for a bound one. Only split, the one place a run reaches a
+# variable, reports an unbound one.
 #
 # One least fixed point answers "can s finish on these atoms alone?". The
 # caller says which atoms are free, and a label counts as its Enter atom.
 # nullable frees no atom, the test oracle accepts_empty (tests/support.py)
 # frees checks and minor rules, and lint's transparent mode frees checks and
-# non-progressing minor rules.
+# non-progressing minor rules. nullable, the hot caller, is kept on the node,
+# so passable itself keeps nothing.
 
 def nothing_free(atom: Strategy) -> bool:
     """Free-atom predicate of strict nullability: every atom consumes."""
     return False
 
 
-@lru_cache(maxsize=None)
-def passable(s: Strategy, free: Callable[[Strategy], bool], bound: frozenset) -> bool:
+def passable(s: Strategy, free: Callable[[Strategy], bool]) -> bool:
     """True iff the language of s has a sentence made only of atoms free accepts.
 
-    A Rec body is evaluated once with its variable in bound, assumed
-    impassable; the equation is monotone, so one pass gives the least fixed
-    point. A variable outside bound raises ValueError.
+    A Rec body is evaluated once with its variable impassable; the equation
+    is monotone, so one pass gives the least fixed point.
     """
     t = type(s)
     if t is Succeed:
         return True
-    if t is Fail:
+    if t is Fail or t is Var:
         return False
     if t is Rule or t is Check:
         return free(s)
     if t is Label:
-        return free(Rule(enter_rule(s.name))) and passable(s.body, free, bound)
+        return free(Rule(enter_rule(s.name))) and passable(s.body, free)
     if t is Seq:
-        return passable(s.left, free, bound) and passable(s.right, free, bound)
+        return passable(s.left, free) and passable(s.right, free)
     if t is Choice:
-        return passable(s.left, free, bound) or passable(s.right, free, bound)
+        return passable(s.left, free) or passable(s.right, free)
     if t is Rec:
-        return passable(s.body, free, bound | {s.var})
-    if t is Var:
-        if s.name in bound:
-            return False
-        raise ValueError("unbound strategy variable %r" % s.name)
+        return passable(s.body, free)
     raise TypeError("not a strategy node: %r" % (s,))
 
 
+@_kept_on_node
 def nullable(s: Strategy) -> bool:
     """True iff the empty sentence is in the language of s."""
-    return passable(s, nothing_free, frozenset())
+    return passable(s, nothing_free)
 
 
-# ---------------------------------------------------------------------------
-# check analyses
-#
-# Two structural passes decide how much work a check needs. Their results are
-# kept on the node, as cached_hash keeps _hash. Check atoms come from closed
-# strategies, so every variable seen here is bound by a Rec inside the tree;
-# an unbound one raises only if a run reaches it, so these passes give it the
-# same assumption as a bound one instead of raising.
-
-def _kept_on_node(fn):
-    slot = "_" + fn.__name__
-
-    def wrapper(s):
-        d = s.__dict__
-        if slot not in d:
-            d[slot] = fn(s)
-        return d[slot]
-
-    return wrapper
-
+# Two more passes decide how much work a check needs.
 
 @_kept_on_node
 def total(s: Strategy) -> bool:
@@ -693,16 +686,7 @@ def step(state: State, budget: Budget = None) -> list:
 
 
 def _has_end_state(state: State, budget: Budget) -> bool:
-    # existence version of run; step reaches it through this name per check
-    return _reaches_end(state, budget, minor_only=False)
-
-
-def has_minor_completion(state: State, budget: Budget = None) -> bool:
-    """State-level emptiness: some minor-only path reaches a nullable remainder."""
-    return _reaches_end(state, budget if budget is not None else Budget(), minor_only=True)
-
-
-def _reaches_end(state: State, budget: Budget, minor_only: bool) -> bool:
+    # existence version of run, reached by step through this name per check:
     # depth-first over step, stop at the first state whose remaining strategy
     # is strictly nullable
     seen = set()
@@ -715,10 +699,20 @@ def _reaches_end(state: State, budget: Budget, minor_only: bool) -> bool:
         if nullable(st.remaining):
             return True
         budget.tick()
-        for r, succ in step(st, budget):
-            if (r.minor or not minor_only) and succ not in seen:
+        for _, succ in step(st, budget):
+            if succ not in seen:
                 stack.append(succ)
     return False
+
+
+def has_minor_completion(state: State, budget: Budget = None) -> bool:
+    """State-level emptiness: some minor-only path reaches a nullable remainder.
+
+    A finished state is answered without a step.
+    """
+    budget = budget if budget is not None else Budget()
+    return nullable(state.remaining) or any(
+        nullable(st.remaining) for st, _, _ in _minor_closure(state, budget))
 
 
 def _minor_closure(state: State, budget: Budget) -> Iterator[tuple]:

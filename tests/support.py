@@ -51,7 +51,7 @@ def accepts_empty(s: Strategy) -> bool:
     This is the syntactic test; it ignores whether those minor atoms would
     actually execute from any particular state.
     """
-    return passable(s, _minor_free, frozenset())
+    return passable(s, _minor_free)
 
 
 def split_unguarded(s: Strategy, budget: Budget) -> tuple:

@@ -463,6 +463,18 @@ def test_decode_faults_answer_fixed_parse_errors():
     assert "ok" in json.loads(handle_request(generate % ("-" + "9" * 4300)))
 
 
+def test_the_decoder_bounds_nesting_outside_strings_at_500():
+    too_deep = '{"error":{"code":"parse-error","message":"bad JSON: nested too deeply"}}'
+    assert handle_request("[" * 500 + "]" * 500) == (
+        '{"error":{"code":"parse-error","message":"request must be an object"}}')
+    assert handle_request("[" * 501 + "]" * 501) == too_deep
+    assert handle_request("[" * 1500) == too_deep
+    # brackets inside a string value do not nest
+    assert handle_request(req(service="lint", strategy="[" * 1000)) == (
+        '{"error":{"code":"parse-error",'
+        '"message":"expected a rule, variable or \'(\', got \'[\'"}}')
+
+
 def test_an_exception_the_failure_table_does_not_name_propagates(monkeypatch):
     def broken(exercise, state):
         raise TypeError("a bug, not an answer")

@@ -1,6 +1,8 @@
 """Core combinator language: splitting, small and big steps, languages."""
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from strategem.strategy import (
     Label,
     LeftRecursionError,
     Rec,
+    RewriteRule,
     Rule,
     Seq,
     State,
@@ -41,9 +44,11 @@ from strategem.strategy import (
     has_minor_completion,
     leave_rule,
     minor_sentences,
+    nothing_free,
     nullable,
     option,
     orelse,
+    passable,
     repeat,
     rules_of,
     seq,
@@ -144,10 +149,27 @@ def test_accepts_empty_differs_from_nullable_on_minors_and_checks():
 
 
 def test_unbound_variable_is_an_error():
-    with pytest.raises(ValueError):
-        nullable(Var("loose"))
+    assert not nullable(Var("loose"))
     with pytest.raises(ValueError):
         split(Var("loose"))
+
+
+def test_an_analysed_strategy_is_freed_once_dropped():
+    # a rule of its own, so no other test's strategy shares a node with it
+    own = Rule(RewriteRule(name="Own", transform=lambda env, focus: (), key=("Own", "gc"),
+                           depth=(0, 0)))
+    s = Rec("x", option(seq(Label("l", own), Var("x"))))
+    check = Check(s)
+    assert nullable(s) and not nullable(check)
+    assert total(s) and not total(check)
+    assert depth_effect(check) == (0, 0)
+    assert check_plan(check) == (s, True)
+    assert unroll(s) != s
+    assert passable(s, nothing_free)
+    dropped = weakref.ref(check), weakref.ref(s)
+    del own, s, check
+    gc.collect()
+    assert [ref() for ref in dropped] == [None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +360,20 @@ def test_minor_sentences_walks_navigation_to_the_end():
     assert names == ("Down", "Up")
     assert unfocus(end.focus) == parse("a^2")
     assert has_minor_completion(st2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(toy_terms(), toy_strategies())
+def test_has_minor_completion_is_some_minor_sentence(term, s):
+    st = initial(term, s)
+    try:
+        sentences = minor_sentences(st)
+    except (BudgetExceededError, LeftRecursionError):
+        return
+    budget = Budget()
+    assert has_minor_completion(st, budget) == bool(sentences)
+    if nullable(s):
+        assert budget.used == 0  # a finished state is answered without a step
 
 
 def test_minor_sentences_of_a_minor_loop_that_never_finishes_are_empty():
