@@ -399,7 +399,8 @@ def _replay_remaining(strategy, start_term, trace, env, path, expr_text, budget,
     # an exact match wins, then one at the same position, then any state
     positional = [st for st in states if st.env == env and st.focus.path == path]
     exact = [st for st in positional if print_expr(unfocus(st.focus)) == expr_text]
-    return min(exact or positional or states, key=state_sort_key).remaining
+    pool = exact or positional or states
+    return (pool[0] if len(pool) == 1 else min(pool, key=state_sort_key)).remaining
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ and separate processes produce identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import List
 
 from .exercise import Exercise
@@ -105,8 +107,7 @@ def rule_results(rule: RewriteRule, term) -> tuple:
 
 def _candidate_sort_key(exercise: Exercise, cand: Candidate):
     path = cand.state.focus.path
-    return (exercise.order_key(cand.rule), cand.rule.name,
-            len(path), path, state_sort_key(cand.state))
+    return (exercise.order_key(cand.rule), cand.rule.name, len(path), path)
 
 
 def allfirsts(exercise: Exercise, state: State, budget: Budget = None) -> List[Candidate]:
@@ -114,7 +115,16 @@ def allfirsts(exercise: Exercise, state: State, budget: Budget = None) -> List[C
     # big_step_traced already keeps one shortest trace per (rule, end state)
     candidates = [Candidate(rule, end, trace)
                   for rule, end, trace in big_step_traced(state, budget)]
-    return sorted(candidates, key=lambda c: _candidate_sort_key(exercise, c))
+    keyed = sorted(((_candidate_sort_key(exercise, c), c) for c in candidates),
+                   key=itemgetter(0))
+    # the serialized state only breaks ties, so it is computed only for them
+    out = []
+    for _, tied in groupby(keyed, key=itemgetter(0)):
+        tied = [c for _, c in tied]
+        if len(tied) > 1:
+            tied.sort(key=lambda c: state_sort_key(c.state))
+        out.extend(tied)
+    return out
 
 
 def onefirst(exercise: Exercise, state: State, budget: Budget = None) -> Candidate:

@@ -386,12 +386,15 @@ def _substitute(node: Strategy, var: str, replacement: Strategy) -> Strategy:
 
 def _kept_on_node(fn):
     # fn(s), computed on first use and kept in s's own dict as cached_hash
-    # keeps _hash, so it dies with s; for strategy nodes and exercises
+    # keeps _hash, so it dies with s; for strategy nodes and exercises. The
+    # hash goes in first: CPython shares one key table among the instance
+    # dicts of a class only while each instance adds its keys in one order
     slot = "_" + fn.__name__
 
     def wrapper(s):
         d = s.__dict__
         if slot not in d:
+            hash(s)
             d[slot] = fn(s)
         return d[slot]
 
@@ -456,22 +459,31 @@ APP_CHECK = RewriteRule(
 #
 # One least fixed point answers "can s finish on these atoms alone?". The
 # caller says which atoms are free, and a label counts as its Enter atom.
-# nullable frees no atom, the test oracle accepts_empty (tests/support.py)
-# frees checks and minor rules, and lint's transparent mode frees checks and
-# non-progressing minor rules. nullable, the hot caller, is kept on the node,
-# so passable itself keeps nothing.
+# It has three callers. nullable frees no atom. minor_passable frees checks
+# and minor rules: the trailing minor walks keep only the states it accepts,
+# and the test oracle accepts_empty (tests/support.py) is that analysis.
+# lint's transparent mode frees checks and non-progressing minor rules. The
+# two engine callers are kept on the node, so passable itself keeps nothing.
 
 def nothing_free(atom: Strategy) -> bool:
     """Free-atom predicate of strict nullability: every atom consumes."""
     return False
 
 
-def passable(s: Strategy, free: Callable[[Strategy], bool]) -> bool:
+def minor_free(atom: Strategy) -> bool:
+    """Free-atom predicate of minor_passable: checks and minor rules."""
+    return type(atom) is Check or atom.rule.minor
+
+
+def passable(s: Strategy, free: Callable[[Strategy], bool], part: Callable = None) -> bool:
     """True iff the language of s has a sentence made only of atoms free accepts.
 
     A Rec body is evaluated once with its variable impassable; the equation
-    is monotone, so one pass gives the least fixed point.
+    is monotone, so one pass gives the least fixed point. part(child) gives
+    the answer for a child node; by default it is passable itself, and a
+    kept analysis passes itself so that each node is evaluated once.
     """
+    part = part or (lambda child: passable(child, free))
     t = type(s)
     if t is Succeed:
         return True
@@ -480,13 +492,13 @@ def passable(s: Strategy, free: Callable[[Strategy], bool]) -> bool:
     if t is Rule or t is Check:
         return free(s)
     if t is Label:
-        return free(Rule(enter_rule(s.name))) and passable(s.body, free)
+        return free(Rule(enter_rule(s.name))) and part(s.body)
     if t is Seq:
-        return passable(s.left, free) and passable(s.right, free)
+        return part(s.left) and part(s.right)
     if t is Choice:
-        return passable(s.left, free) or passable(s.right, free)
+        return part(s.left) or part(s.right)
     if t is Rec:
-        return passable(s.body, free)
+        return part(s.body)
     raise TypeError("not a strategy node: %r" % (s,))
 
 
@@ -494,6 +506,17 @@ def passable(s: Strategy, free: Callable[[Strategy], bool]) -> bool:
 def nullable(s: Strategy) -> bool:
     """True iff the empty sentence is in the language of s."""
     return passable(s, nothing_free)
+
+
+@_kept_on_node
+def minor_passable(s: Strategy) -> bool:
+    """True iff the language of s has a sentence of minor atoms only.
+
+    This is the syntactic test; it ignores whether those minor atoms would
+    actually execute from any particular state. It is computed from the
+    children's kept answers, so a new strategy costs one pass over its nodes.
+    """
+    return passable(s, minor_free, minor_passable)
 
 
 # Two more passes decide how much work a check needs.
@@ -665,30 +688,55 @@ def step(state: State, budget: Budget = None) -> list:
             # a focus-local outcome holds wherever the same subterm is focused,
             # so it is keyed on that subterm and shared across positions
             where = getattr(state.focus, "focus", state.focus) if local else state.focus
-            key = (state.env, where, inner)
-            passed = budget.check_cache.get(key)
+            passed = _no_run(state.env, state.focus, where, inner, budget)
             if passed is _CHECK_IN_PROGRESS:
                 raise BudgetExceededError(
                     "applicability check depends on its own outcome"
                 )
-            if passed is None:
-                budget.check_cache[key] = _CHECK_IN_PROGRESS
-                try:
-                    passed = not _has_end_state(State(state.env, state.focus, inner), budget)
-                except BaseException:
-                    del budget.check_cache[key]
-                    raise
-                budget.check_cache[key] = passed
             if passed:
                 budget.tick()
                 out.append((APP_CHECK, State(state.env, state.focus, rest)))
     return out
 
 
+def _no_run(env, focus, where, s: Strategy, budget: Budget):
+    # True when s has no run from (env, focus), memoised in check_cache under
+    # (env, where, s); _CHECK_IN_PROGRESS while that very question is open
+    key = (env, where, s)
+    cache = budget.check_cache
+    passed = cache.get(key)
+    if passed is None:
+        cache[key] = _CHECK_IN_PROGRESS
+        try:
+            passed = not _has_end_state(State(env, focus, s), budget)
+        except BaseException:
+            del cache[key]
+            raise
+        cache[key] = passed
+    return passed
+
+
+# navigation.UP's key: it applies wherever the focus has a context
+_UP_KEY = ("Up",)
+
+
+def _child_question(s: Strategy) -> Optional[Strategy]:
+    # x when s is x ; Up and every run of x ends at the depth it starts from:
+    # from a focus with a context, s then has a run exactly when x has one
+    if type(s) is Seq and type(s.right) is Rule and s.right.rule.key == _UP_KEY:
+        if depth_effect(s.left) == (0, 0):
+            return s.left
+    return None
+
+
 def _has_end_state(state: State, budget: Budget) -> bool:
-    # existence version of run, reached by step through this name per check:
-    # depth-first over step, stop at the first state whose remaining strategy
-    # is strictly nullable
+    # existence version of run, reached through this name by _no_run on each
+    # memo miss: depth-first over step, stop at the first state whose
+    # remaining strategy is strictly nullable. A state x ; Up below the root
+    # asks whether x has a run from its focus; that question is focus-local,
+    # so _no_run memoises it per subterm and answers it by a nested search,
+    # and a parent's check then costs a lookup per child. A question already
+    # being answered is searched here instead.
     seen = set()
     stack = [state]
     while stack:
@@ -698,6 +746,13 @@ def _has_end_state(state: State, budget: Budget) -> bool:
         seen.add(st)
         if nullable(st.remaining):
             return True
+        x = _child_question(st.remaining)
+        if x is not None and getattr(st.focus, "context", None):
+            passed = _no_run(st.env, st.focus, st.focus.focus, x, budget)
+            if passed is False:
+                return True
+            if passed is True:
+                continue
         budget.tick()
         for _, succ in step(st, budget):
             if succ not in seen:
@@ -712,26 +767,33 @@ def has_minor_completion(state: State, budget: Budget = None) -> bool:
     """
     budget = budget if budget is not None else Budget()
     return nullable(state.remaining) or any(
-        nullable(st.remaining) for st, _, _ in _minor_closure(state, budget))
+        nullable(st.remaining) for st, _, _ in _minor_closure(state, budget, True))
 
 
-def _minor_closure(state: State, budget: Budget) -> Iterator[tuple]:
+def _minor_closure(state: State, budget: Budget, finishing: bool = False) -> Iterator[tuple]:
     """Breadth-first walk of the minor-only paths from state.
 
     Steps each state once and yields (state, its major (rule, successor)
     pairs, parents), where parents maps each state seen so far to (previous
     state, minor rule name), or None for the start. A minor loop only comes
     back to a state already seen.
+
+    finishing walks only the states that can finish on minors, those whose
+    remaining strategy is minor_passable. Every minor successor of a state
+    left out is left out too: split gives a . L(rest) within L(s), so a
+    minor-only sentence of rest would make one of s. So no state left out is
+    on a minor path to a nullable remainder, and the walk meets the states
+    it keeps in the same order, from the same parents, as the full walk.
     """
     parents = {state: None}
-    queue = deque([state])
+    queue = deque([state] if not finishing or minor_passable(state.remaining) else ())
     while queue:
         st = queue.popleft()
         majors = []
         for r, succ in step(st, budget):
             if not r.minor:
                 majors.append((r, succ))
-            elif succ not in parents:
+            elif succ not in parents and (not finishing or minor_passable(succ.remaining)):
                 parents[succ] = (st, r.name)
                 queue.append(succ)
         yield st, majors, parents
@@ -742,11 +804,12 @@ def minor_sentences(state: State, budget: Budget = None) -> tuple:
 
     Returns (sentence, end state) pairs; a sentence is a tuple of rule names,
     AppCheck included, and is empty when state itself is finished. The
-    transitions step charges to budget bound the walk.
+    transitions step charges to budget bound the walk, which steps only the
+    states that can still finish on minors.
     """
     budget = budget if budget is not None else Budget()
     return tuple((_prefix_to(st, parents), st)
-                 for st, _, parents in _minor_closure(state, budget)
+                 for st, _, parents in _minor_closure(state, budget, True)
                  if nullable(st.remaining))
 
 

@@ -37,6 +37,7 @@ from pathlib import Path
 from conftest import (
     DEC,
     KEEP_LEFT,
+    NAV_ATOMS,
     TOY_LEAVES,
     UNWRAP,
     initial,
@@ -47,10 +48,7 @@ from strategem import services
 from strategem.exercise import power_exercise
 from strategem.navigation import (
     DOWNS,
-    LEFT,
-    RIGHT,
     UP,
-    down_rule,
     focus_at,
     positions,
     term_at,
@@ -86,8 +84,7 @@ ENDS_PER_SAMPLE = 5
 LOOP_TAIL = Rec("q", Choice(seq(Rule(DOWNS), Rule(UP), Var("q")), Rule(UP)))
 
 # random_toy_strategy's leaves plus raw navigation atoms
-NAV_LEAVES = TOY_LEAVES + (Rule(UP), Rule(LEFT), Rule(RIGHT), Rule(DOWNS),
-                           Rule(down_rule(0)), Rule(down_rule(1)))
+NAV_LEAVES = TOY_LEAVES + NAV_ATOMS
 
 
 def toy_sample(index: int) -> State:

@@ -10,7 +10,18 @@ import random
 
 from hypothesis import strategies as st
 
-from strategem.navigation import bottom_up, expr_rule, focus_root, once, somewhere
+from strategem.navigation import (
+    DOWNS,
+    LEFT,
+    RIGHT,
+    UP,
+    bottom_up,
+    down_rule,
+    expr_rule,
+    focus_root,
+    once,
+    somewhere,
+)
 from strategem.powers import Mul, Power, Recip, Var
 from strategem.strategy import (
     FAIL,
@@ -90,6 +101,10 @@ TOY_LEAVES = (Rule(DEC), Rule(KEEP_LEFT), Rule(UNWRAP),
               Rule(DEC), Rule(KEEP_LEFT), Rule(UNWRAP),
               SUCCEED, FAIL)
 
+# raw navigation atoms, for strategies that move the focus on their own
+NAV_ATOMS = (Rule(UP), Rule(LEFT), Rule(RIGHT), Rule(DOWNS),
+             Rule(down_rule(0)), Rule(down_rule(1)))
+
 
 def random_toy_strategy(rng: random.Random, depth: int = 5, leaves: tuple = TOY_LEAVES):
     if depth <= 1:
@@ -131,9 +146,9 @@ def toy_terms():
     return st.recursive(leaves, extend, max_leaves=4)
 
 
-def toy_strategies():
+def toy_strategies(extra_leaves: tuple = ()):
     leaves = st.sampled_from([Rule(DEC), Rule(KEEP_LEFT), Rule(UNWRAP),
-                              SUCCEED, FAIL])
+                              SUCCEED, FAIL, *extra_leaves])
 
     def extend(children):
         pair = st.tuples(children, children)

@@ -4,10 +4,15 @@ split_unguarded shows the time-out that split's left-recursion guard
 prevents. run and recognize search whole derivations with big steps,
 language_upto enumerates a bounded language and majors_of projects its
 sentences onto major rules; accepts_empty is the syntactic minor-only
-emptiness test. The tests compare the engine against these.
+emptiness test. plain_has_end_state and plain_minor_sentences search
+without the engine's check plans, check-memo keys or pruning. The tests
+compare the engine against these.
 """
 
+from collections import deque
+
 from strategem.strategy import (
+    APP_CHECK,
     SUCCEED,
     Budget,
     BudgetExceededError,
@@ -28,9 +33,10 @@ from strategem.strategy import (
     enter_rule,
     has_minor_completion,
     leave_rule,
+    minor_passable,
     minor_sentences,
     nullable,
-    passable,
+    split,
     state_sort_key,
     unroll,
 )
@@ -40,18 +46,80 @@ DEFAULT_MAX_UNROLL = 8
 DEFAULT_NODE_BUDGET = 200_000
 
 
-def _minor_free(atom: Strategy) -> bool:
-    """Free-atom predicate of accepts_empty: checks and minor rules."""
-    return type(atom) is Check or atom.rule.minor
-
-
 def accepts_empty(s: Strategy) -> bool:
     """True iff the language of s has a sentence of minor atoms only.
 
-    This is the syntactic test; it ignores whether those minor atoms would
-    actually execute from any particular state.
+    This is the engine's minor_passable, the analysis that keeps the states
+    of a trailing minor walk.
     """
-    return passable(s, _minor_free)
+    return minor_passable(s)
+
+
+def plain_step(state: State, budget: Budget, checking: dict) -> list:
+    """step with every check searched by plain_has_end_state at its own state.
+
+    checking maps each check state (environment, focus, whole inner
+    strategy) to its outcome, or to None while it is being answered; meeting
+    an unanswered one again is the engine's self-dependency error.
+    """
+    out = []
+    for atom, rest in split(state.remaining):
+        if type(atom) is Rule:
+            for env2, focus2 in atom.rule.transform(state.env, state.focus):
+                budget.tick()
+                out.append((atom.rule, State(env2, focus2, rest)))
+            continue
+        probe = State(state.env, state.focus, atom.inner)
+        if probe not in checking:
+            checking[probe] = None
+            try:
+                checking[probe] = not plain_has_end_state(probe, budget, checking)
+            except BaseException:
+                del checking[probe]
+                raise
+        if checking[probe] is None:
+            raise BudgetExceededError("applicability check depends on its own outcome")
+        if checking[probe]:
+            budget.tick()
+            out.append((APP_CHECK, State(state.env, state.focus, rest)))
+    return out
+
+
+def plain_has_end_state(state: State, budget: Budget, checking: dict = None) -> bool:
+    """Some path of plain steps from state reaches a nullable remainder."""
+    checking = {} if checking is None else checking
+    seen = {state}
+    stack = [state]
+    while stack:
+        st = stack.pop()
+        if nullable(st.remaining):
+            return True
+        for _, succ in plain_step(st, budget, checking):
+            if succ not in seen:
+                seen.add(succ)
+                stack.append(succ)
+    return False
+
+
+def plain_minor_sentences(state: State, budget: Budget) -> tuple:
+    """minor_sentences by a breadth-first walk of every minor path from state."""
+    checking: dict = {}
+    parents = {state: None}
+    queue = deque([state])
+    out = []
+    while queue:
+        st = queue.popleft()
+        if nullable(st.remaining):
+            names, at = [], st
+            while parents[at] is not None:
+                at, name = parents[at]
+                names.append(name)
+            out.append((tuple(reversed(names)), st))
+        for r, succ in plain_step(st, budget, checking):
+            if r.minor and succ not in parents:
+                parents[succ] = (st, r.name)
+                queue.append(succ)
+    return tuple(out)
 
 
 def split_unguarded(s: Strategy, budget: Budget) -> tuple:

@@ -59,8 +59,17 @@ from strategem.strategy import (
     unroll,
 )
 
-from conftest import DEC, KEEP_LEFT, initial, toy_strategies, toy_terms
-from support import accepts_empty, language_upto, majors_of, recognize, run, split_unguarded
+from conftest import DEC, KEEP_LEFT, NAV_ATOMS, initial, toy_strategies, toy_terms
+from support import (
+    accepts_empty,
+    language_upto,
+    majors_of,
+    plain_has_end_state,
+    plain_minor_sentences,
+    recognize,
+    run,
+    split_unguarded,
+)
 
 A = Rule(ADD_EXP)
 M = Rule(MUL_EXP)
@@ -320,7 +329,22 @@ def test_a_focus_local_check_is_memoised_per_subterm():
     for path in ((0,), (1,)):
         assert step(State(root.env, focus_at(root.focus, path), check), budget) == []
     inner = check_plan(check)[0]
-    assert [key[1] for key in budget.check_cache if key[2] == inner] == [parse("a^2")]
+    subterms = [key[1] for key in budget.check_cache if key[2] == inner]
+    # one entry for a^2, shared by both positions; the search adds the
+    # per-child question of bottom_up at a^2's child under the same key
+    assert subterms.count(parse("a^2")) == 1
+    assert set(subterms) == {parse("a^2"), parse("a")}
+
+
+def test_x_then_up_is_answered_per_child_only_below_the_root():
+    # Dec runs at both foci, but Up comes back only from the child
+    s = Seq(Rule(DEC), Rule(UP))
+    root = initial(parse("(a^2)^3"), s)
+    child = State(root.env, focus_at(root.focus, (0,)), s)
+    budget = Budget()
+    assert not _has_end_state(root, budget)
+    assert _has_end_state(child, budget)
+    assert list(budget.check_cache.items()) == [((root.env, parse("a^2"), Rule(DEC)), False)]
 
 
 def test_a_check_that_reads_above_the_focus_is_keyed_on_its_position():
@@ -376,13 +400,29 @@ def test_has_minor_completion_is_some_minor_sentence(term, s):
         assert budget.used == 0  # a finished state is answered without a step
 
 
+@settings(max_examples=300, deadline=None)
+@given(toy_terms(), toy_strategies(NAV_ATOMS), hst.data())
+def test_checks_and_minor_walks_agree_with_a_plain_search(term, s, data):
+    # the engine memoises per-child questions and prunes trailing walks;
+    # the plain search keys each check on its whole state and walks all
+    root = initial(term, s)
+    st = State(root.env, focus_at(root.focus, data.draw(hst.sampled_from(positions(term)))), s)
+    try:
+        expected = (plain_has_end_state(st, Budget(20_000)),
+                    plain_minor_sentences(st, Budget(20_000)))
+    except (BudgetExceededError, LeftRecursionError):
+        return
+    assert _has_end_state(st, Budget(20_000)) == expected[0]
+    assert minor_sentences(st, Budget(20_000)) == expected[1]
+
+
 def test_minor_sentences_of_a_minor_loop_that_never_finishes_are_empty():
     # once(SUCCEED) completes without changing the term and its exit check
     # always fails, so every path comes back to the start state
     st = initial(parse("a^2"), repeat(once(SUCCEED)))
     budget = Budget()
     assert minor_sentences(st, budget) == ()
-    assert budget.used == 6
+    assert budget.used == 4
 
 
 def test_minor_sentences_find_the_exit_of_a_minor_loop():
@@ -408,8 +448,10 @@ def test_trailing_minor_diamonds_are_walked_once_per_state():
 
 
 def test_entering_labels_without_leaving_takes_linear_memory():
-    # every state of this minor path is one label deeper than the last
-    st = initial(parse("a"), Rec("x", Label("deep", Var("x"))))
+    # every state of this minor path is one label deeper than the last; Up
+    # never fires at the root, but it gives the strategy a minor-only
+    # sentence, so the walk keeps going deeper
+    st = initial(parse("a"), Rec("x", Choice(Label("deep", Var("x")), Rule(UP))))
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):
