@@ -102,13 +102,15 @@ class Registry:
     """Exercise lookup by code. Built at startup, read-only afterwards.
 
     A code names one exercise for the registry's life, so the registry also
-    owns what the protocol memoises per code: `replays`, the bounded LRU of
-    replayed wire traces (see protocol._replay_remaining).
+    owns what the protocol memoises: `replays`, the bounded LRU of replayed
+    wire traces (see protocol._replay_remaining), and `terms`, the bounded
+    LRU of parsed strategy texts (see protocol.strategy_term).
     """
 
     def __init__(self, exercises: Iterable[Exercise] = ()):
         self._by_code = {}
         self.replays = OrderedDict()
+        self.terms = OrderedDict()
         for ex in exercises:
             self.register(ex)
 

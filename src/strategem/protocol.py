@@ -18,7 +18,9 @@ bounded LRU of replayed levels, so a trace one rule longer than one seen
 before costs one big step. Each response is still a function of its own
 line. A memo entry also holds what the replay charged to the request's
 budget, and a hit charges it again, so transition counts, budget-exceeded
-boundaries and check-memo contents are those of a cold replay.
+boundaries and check-memo contents are those of a cold replay. The
+registry also keeps the last parsed strategy texts (strategy_term), so the
+requests that name one text share one tree and the facts kept on its nodes.
 """
 
 from __future__ import annotations
@@ -207,6 +209,30 @@ def parse_term(text: str, table: dict = None) -> Strategy:
         raise TermParseError("strategy term nested too deeply") from None
 
 
+# parsed strategy texts one registry keeps; at most this many, least recent dropped
+TERM_MEMO_SIZE = 32
+
+
+def strategy_term(text: str, memo=None) -> Strategy:
+    """parse_term(text), shared through memo, a registry's `terms` LRU.
+
+    Requests that name one text then share one tree and the facts kept on
+    its nodes: splits and analyses. parse_term is a pure function of the
+    text, nodes are immutable and every kept fact is a function of its node,
+    so sharing changes no answer. A text that fails to parse is not stored.
+    """
+    if memo is None:
+        return parse_term(text)
+    s = memo.get(text)
+    if s is None:
+        s = memo[text] = parse_term(text)
+        if len(memo) > TERM_MEMO_SIZE:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(text)
+    return s
+
+
 def print_term(s: Strategy) -> str:
     """Render a strategy in the concrete syntax, fewest parentheses that
     preserve the tree shape."""
@@ -280,12 +306,12 @@ def _parse_env(raw) -> Environment:
     return env
 
 
-def _resolve_strategy_ref(ref, exercise: Exercise) -> Strategy:
+def _resolve_strategy_ref(ref, exercise: Exercise, terms=None) -> Strategy:
     if ref == EXERCISE_DEFAULT_REF:
         return exercise.strategy
     if isinstance(ref, dict) and set(ref) == {"term"} and isinstance(ref["term"], str):
         try:
-            return parse_term(ref["term"])
+            return strategy_term(ref["term"], terms)
         except TermParseError as exc:
             raise WireFormatError("bad strategy term: %s" % exc) from None
     raise WireFormatError("strategyRef must be %r or {\"term\": ...}" % EXERCISE_DEFAULT_REF)
@@ -301,7 +327,8 @@ def _index_path(raw, name: str) -> tuple:
     return tuple(raw)
 
 
-def deserialize_state(wire, exercise: Exercise, budget: Budget = None, memo=None):
+def deserialize_state(wire, exercise: Exercise, budget: Budget = None, memo=None,
+                      terms=None):
     """Rebuild a full state from its wire form.
 
     Returns (state, strategy_ref, start, trace). The remaining strategy comes
@@ -309,7 +336,8 @@ def deserialize_state(wire, exercise: Exercise, budget: Budget = None, memo=None
     in the wire take precedence over the replayed values. memo, when given,
     is a registry's `replays` LRU. It is used only with a fresh budget
     (nothing used, no check outcomes), because its entries record what a
-    replay did to a fresh budget.
+    replay did to a fresh budget. terms, when given, is a registry's `terms`
+    LRU (see strategy_term).
     """
     _require(isinstance(wire, dict), "state must be an object")
     unknown = set(wire) - set(_STATE_FIELDS)
@@ -324,7 +352,7 @@ def deserialize_state(wire, exercise: Exercise, budget: Budget = None, memo=None
              "trace must be a list of rule names")
 
     env = _parse_env(wire["env"])
-    strategy = _resolve_strategy_ref(wire["strategyRef"], exercise)
+    strategy = _resolve_strategy_ref(wire["strategyRef"], exercise, terms)
     expr = parse(wire["expr"])
     start = parse(wire["start"])
 
@@ -534,7 +562,7 @@ def _dispatch(service: str, request: dict, registry: Registry):
         return {"state": serialize_state(state, EXERCISE_DEFAULT_REF, start, [])}
 
     state, ref, start, trace = deserialize_state(request["state"], exercise, budget,
-                                                 registry.replays)
+                                                 registry.replays, registry.terms)
 
     if service == "allfirsts":
         candidates = services.allfirsts(exercise, state, budget)
@@ -579,7 +607,7 @@ def _handle_lint(request: dict, registry: Registry):
     if has_code:
         strategy = registry.lookup(_string_field(request, "exercise")).strategy
     else:
-        strategy = parse_term(_string_field(request, "strategy"))
+        strategy = strategy_term(_string_field(request, "strategy"), registry.terms)
     report = lint_strategy(strategy)
     return {
         "clean": report.clean,

@@ -15,6 +15,7 @@ except as prefixes and trailing completions.
 from __future__ import annotations
 
 import os
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -492,7 +493,7 @@ def passable(s: Strategy, free: Callable[[Strategy], bool], part: Callable = Non
     if t is Rule or t is Check:
         return free(s)
     if t is Label:
-        return free(Rule(enter_rule(s.name))) and part(s.body)
+        return free(_label_atoms(s)[0]) and part(s.body)
     if t is Seq:
         return part(s.left) and part(s.right)
     if t is Choice:
@@ -602,8 +603,23 @@ def _seq_rest(left: Strategy, right: Strategy) -> Strategy:
     return Seq(left, right)
 
 
-_LEFT_RECURSIVE = object()
-_split_cache: dict = {}
+@_kept_on_node
+def _label_atoms(label: Label) -> tuple:
+    # the (Enter, Leave) rule atoms a label expands to
+    return Rule(enter_rule(label.name)), Rule(leave_rule(label.name))
+
+
+class _KeptSplits(weakref.WeakSet):
+    # The nodes split has worked on, each added on its first split; an entry
+    # dies with its node. The engine never reads it: it is there to be
+    # counted. A node is in it when it keeps a split itself, not when an
+    # equal node does, so membership is a hit of split on that very node.
+
+    def __contains__(self, s):
+        return "__split" in getattr(s, "__dict__", ())  # _split's slot
+
+
+_split_cache = _KeptSplits()
 
 
 def split(s: Strategy) -> tuple:
@@ -612,48 +628,45 @@ def split(s: Strategy) -> tuple:
     Atoms are Rule or Check nodes. Labels expand to their Enter atom with the
     body and the Leave rule appended to the rest. Revisiting a Rec node on one
     expansion path without consuming an atom raises LeftRecursionError; the
-    outcome (including that error) is cached per strategy value.
+    outcome (including that error) is kept on the node.
     """
-    cached = _split_cache.get(s)
-    if cached is _LEFT_RECURSIVE:
-        raise LeftRecursionError()
-    if cached is not None:
-        return cached
+    kept = _split(s)
+    if type(kept) is tuple:
+        return kept
+    raise LeftRecursionError(var=kept)
 
+
+@_kept_on_node
+def _split(s: Strategy):
+    # split's outcome: the decompositions, or the binder a left recursion
+    # revisited (a string)
+    _split_cache.add(s)
     out: dict = {}
     stack = [(s, SUCCEED, frozenset())]
-    try:
-        while stack:
-            node, cont, visiting = stack.pop()
-            t = type(node)
-            if t is Rule or t is Check:
-                out.setdefault((node, cont))
-            elif t is Seq:
-                # tail results (when the head is nullable) come after head results
-                if nullable(node.left):
-                    stack.append((node.right, cont, visiting))
-                stack.append((node.left, _seq_rest(node.right, cont), visiting))
-            elif t is Choice:
+    while stack:
+        node, cont, visiting = stack.pop()
+        t = type(node)
+        if t is Rule or t is Check:
+            out.setdefault((node, cont))
+        elif t is Seq:
+            # tail results (when the head is nullable) come after head results
+            if nullable(node.left):
                 stack.append((node.right, cont, visiting))
-                stack.append((node.left, cont, visiting))
-            elif t is Label:
-                enter = Rule(enter_rule(node.name))
-                rest = _seq_rest(node.body, _seq_rest(Rule(leave_rule(node.name)), cont))
-                out.setdefault((enter, rest))
-            elif t is Rec:
-                if node in visiting:
-                    raise LeftRecursionError(var=node.var)
-                stack.append((unroll(node), cont, visiting | {node}))
-            elif t is Var:
-                raise ValueError("unbound strategy variable %r" % node.name)
-            # Succeed and Fail have no splits
-    except LeftRecursionError:
-        _split_cache[s] = _LEFT_RECURSIVE
-        raise
-
-    result = tuple(out)
-    _split_cache[s] = result
-    return result
+            stack.append((node.left, _seq_rest(node.right, cont), visiting))
+        elif t is Choice:
+            stack.append((node.right, cont, visiting))
+            stack.append((node.left, cont, visiting))
+        elif t is Label:
+            enter, leave = _label_atoms(node)
+            out.setdefault((enter, _seq_rest(node.body, _seq_rest(leave, cont))))
+        elif t is Rec:
+            if node in visiting:
+                return node.var
+            stack.append((unroll(node), cont, visiting | {node}))
+        elif t is Var:
+            raise ValueError("unbound strategy variable %r" % node.name)
+        # Succeed and Fail have no splits
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 import copy
 import dataclasses
+import gc
 import io
 import json
+import tracemalloc
 from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from strategem import protocol, services
+from strategem import protocol, services, strategy
 from strategem.exercise import Registry, default_registry, power_exercise
 from strategem.navigation import (
     DOWNS,
@@ -601,9 +603,10 @@ def rewrite_location(expr, rule, result):
     raise AssertionError("%s does not rewrite %s into %s" % (rule, expr, result))
 
 
-def tutor_lines(difficulty, seed):
+def tutor_lines(difficulty, seed, ref=EXERCISE_DEFAULT_REF):
     """Request lines of one tutor session in the benchmark's request mix,
-    each built from the cold answer to the line before, and those answers."""
+    each built from the cold answer to the line before, and those answers.
+    The session's states name the strategy ref."""
     lines, answers = [], []
 
     def ask(**request):
@@ -611,7 +614,8 @@ def tutor_lines(difficulty, seed):
         answers.append(handle_request(lines[-1]))
         return json.loads(answers[-1]).get("ok")
 
-    start = state = ask(service="generate", difficulty=difficulty, seed=seed)["state"]
+    generated = ask(service="generate", difficulty=difficulty, seed=seed)["state"]
+    start = state = dict(generated, strategyRef=ref)
     while not ask(service="ready", state=state)["ready"]:
         ask(service="stepsremaining", state=state)
         ask(service="allfirsts", state=state)
@@ -737,6 +741,122 @@ def test_the_memo_keeps_at_most_its_size(monkeypatch):
     # seven distinct non-empty traces; empty ones are never stored
     assert len(registry.replays) == 3
     assert all(entry[0] for entry in registry.replays.values())
+
+
+def test_the_replay_memo_of_a_tutor_session_stays_small():
+    # five hard sessions, each on its own strategy text
+    text = print_term(EX.strategy)
+    lines, cold = [], []
+    for seed in range(5):
+        ref = {"term": text.replace("powers:", "s%d:" % seed)}
+        more_lines, more_answers = tutor_lines("hard", seed, ref)
+        lines += more_lines
+        cold += more_answers
+    registry = default_registry()
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        serve(io.StringIO("\n".join(lines) + "\n"), out, registry)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+        entries = len(registry.replays)
+        registry.replays.clear()
+        gc.collect()
+        size = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.getvalue().splitlines() == cold
+    assert 0 < entries <= protocol.REPLAY_MEMO_SIZE
+    # about 4 KB an entry; a full memo then holds a few MB at most
+    assert size < entries * 16 * 2**10
+
+
+# ---------------------------------------------------------------------------
+# the registry's strategy memo
+
+T = print_term(EX.strategy)
+
+
+def serve_and_cold_costs(lines, registry, monkeypatch):
+    """(serve's lines, cold lines, the budgets' used counts of each run), where
+    serve answers through registry and each cold line gets a new one."""
+    budgets = []
+
+    class Recorded(Budget):
+        def __init__(self, limit=None):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(protocol, "Budget", Recorded)
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out, registry)
+    warm_used = [b.used for b in budgets]
+    budgets.clear()
+    cold = [handle_request(line) for line in lines]
+    return out.getvalue().splitlines(), cold, warm_used, [b.used for b in budgets]
+
+
+def on(text, *services_, expr="(a^2*a^3)^2"):
+    return [req(service=service, exercise="powerExercise", state=wire(expr, ref={"term": text}))
+            for service in services_]
+
+
+TEXTS = ["s%d: %s" % (i, T) for i in range(3)]
+
+
+@pytest.mark.parametrize("lines, stored, size", [
+    (on(T, "allfirsts") * 2, [T], None),
+    ([req(service="lint", strategy=T)] + on(T, "allfirsts", "derivation"), [T], None),
+    (on("mu x . (AddExp", "allfirsts") * 2, [], None),
+    (on("mu x . x ; AddExp", "derivation") * 2, ["mu x . x ; AddExp"], None),
+    ([line for i in (0, 1, 2, 0, 2, 1) for line in on(TEXTS[i], "allfirsts", "ready")],
+     [TEXTS[2], TEXTS[1]], 2),
+], ids=["same-text-twice", "lint-then-services", "parse-error-twice", "left-recursive-twice",
+        "eviction"])
+def test_the_strategy_memo_changes_no_answer_and_no_cost(lines, stored, size, monkeypatch):
+    if size is not None:
+        monkeypatch.setattr(protocol, "TERM_MEMO_SIZE", size)
+    registry = default_registry()
+    warm, cold, warm_used, cold_used = serve_and_cold_costs(lines, registry, monkeypatch)
+    assert warm == cold
+    assert warm_used == cold_used
+    # least recent last out; a text that fails to parse is not stored
+    assert list(registry.terms) == stored
+
+
+def test_requests_on_one_text_share_one_tree_and_its_splits():
+    registry = default_registry()
+    handle_request(req(service="lint", strategy=T), registry)
+    [tree] = registry.terms.values()
+    assert tree not in strategy._split_cache
+    for line in on(T, "allfirsts", "derivation"):
+        handle_request(line, registry)
+    assert list(registry.terms.values()) == [tree] and tree in strategy._split_cache
+
+
+def test_memory_stays_bounded_over_distinct_strategies():
+    # every request names a new strategy text; serve keeps the registry's
+    # last TERM_MEMO_SIZE trees of them, with the facts kept on their nodes
+    registry = default_registry()
+
+    def line(label):
+        text = "%s: mu x . (Downs ; x ; Up | ~(Downs ; x ; Up) ; AddExp)" % label
+        return on(text, "allfirsts", expr="a^2*a^3")[0]
+
+    for i in range(40):
+        handle_request(line("w%d" % i), registry)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(400):
+            assert "ok" in json.loads(handle_request(line("s%d" % i), registry))
+        gc.collect()
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # about 0.4 MB; a memo that kept every strategy grew about 4 MB
+    assert growth < 2 * 2**20
 
 
 def test_serve_reads_stdin_as_utf8_whatever_the_locale(monkeypatch):

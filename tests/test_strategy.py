@@ -36,6 +36,7 @@ from strategem.strategy import (
     State,
     Var,
     _has_end_state,
+    _split_cache,
     big_step_traced,
     check_plan,
     choice,
@@ -57,6 +58,7 @@ from strategem.strategy import (
     total,
     try_,
     unroll,
+    walk,
 )
 
 from conftest import DEC, KEEP_LEFT, NAV_ATOMS, initial, toy_strategies, toy_terms
@@ -226,11 +228,46 @@ def test_split_repeat():
 
 def test_split_detects_left_recursion_and_caches_the_outcome():
     looping = Rec("z", Seq(Var("z"), A))
-    with pytest.raises(LeftRecursionError):
+    with pytest.raises(LeftRecursionError, match=r"\(binder 'z'\)"):
         split(looping)
-    # cached failure raises again instead of returning stale data
-    with pytest.raises(LeftRecursionError):
+    # cached failure raises again, naming the binder, instead of returning stale data
+    with pytest.raises(LeftRecursionError, match=r"\(binder 'z'\)"):
         split(looping)
+
+
+def test_split_is_kept_on_its_node_and_freed_with_it():
+    # the benchmark's tracer counts _split_cache: a node is in it when it
+    # keeps a split itself, and its entry dies with it
+    own = Rule(RewriteRule(name="Own", transform=lambda env, focus: (), key=("Own", "split"),
+                           depth=(0, 0)))
+    s, equal = repeat(Label("l", own)), repeat(Label("l", own))
+    assert s not in _split_cache
+    pairs = split(s)
+    assert s in _split_cache and equal not in _split_cache
+    assert split(s) is pairs
+    gc.collect()
+    entries = len(_split_cache)
+    dropped = weakref.ref(s)
+    del s, pairs
+    gc.collect()  # a Rec keeps its unrolling, which refers back to it
+    assert dropped() is None
+    assert len(_split_cache) < entries
+
+
+def test_a_label_builds_its_enter_and_leave_atoms_once():
+    s = Rec("x", Label("deep", Var("x")))
+    enters, rest = [], s
+    for _ in range(3):
+        [(enter, rest)] = split(rest)
+        enters.append(enter)
+    leaves = [node for _, node in walk(rest) if type(node) is Rule]
+    assert len(leaves) == 3
+    assert all(atom is enters[0] for atom in enters)
+    assert all(atom is leaves[0] for atom in leaves)
+    # passable asks about the same Enter atom
+    asked = []
+    passable(unroll(s), lambda atom: asked.append(atom) or True)
+    assert asked[0] is enters[0]
 
 
 def test_split_right_recursion_is_fine():
