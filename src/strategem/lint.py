@@ -12,6 +12,9 @@ The left-factor check warns when both branches of a choice can open with the
 same major rule, which makes the step machinery explore both branches for
 every occurrence. Applicability checks block a branch here: a branch guarded
 by a check only runs when the shared prefix fails, so it cannot race it.
+First sets are a least fixed point; a variable stands for its lexical
+binder. A branch is cut at an unbound variable or a binder whose body can
+reach itself before any major rule, which is where bounded unrolling stopped.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from .strategy import (
     Check,
     Choice,
-    Fail,
     Label,
     Rec,
     Rule,
@@ -29,16 +31,19 @@ from .strategy import (
     Strategy,
     Succeed,
     Var,
+    _label_atoms,
     children_of,
-    enter_rule,
     nothing_free,
     passable,
-    walk,
 )
 
 MODES = ("transparent", "opaque")
 
+# printed only: "possible" findings keep the text of the old unrolling bound
 FACTOR_MAX_UNROLL = 4
+
+_NONE = frozenset()
+_UNBOUND = frozenset((-1,))
 
 
 @dataclass(frozen=True)
@@ -46,7 +51,7 @@ class LintFinding:
     kind: str  # "LeftRecursion" or "LeftFactor"
     path: tuple  # child-index path of the offending node in the strategy tree
     detail: str
-    certainty: str = "definite"  # "possible" when the bounded analysis gave up
+    certainty: str = "definite"  # "possible" when a cut branch may overlap
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,6 @@ class LintReport:
         return not self.findings
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
-
-
 def _unguarded_free(atom: Strategy) -> bool:
     # transparent mode: what may run without guaranteed structural descent
     return type(atom) is Check or (atom.rule.minor and not atom.rule.progress)
@@ -71,147 +71,146 @@ def _unguarded_free(atom: Strategy) -> bool:
 _FREE = {"transparent": _unguarded_free, "opaque": nothing_free}
 
 
-def _reaches_var(node: Strategy, var: str, free) -> bool:
-    # is Var(var) reachable at the leftmost consumable position?
-    t = type(node)
-    if t is Var:
-        return node.name == var
-    if t is Seq:
-        if _reaches_var(node.left, var, free):
-            return True
-        return passable(node.left, free) and _reaches_var(node.right, var, free)
-    if t is Choice:
-        return _reaches_var(node.left, var, free) or _reaches_var(node.right, var, free)
-    if t is Label:
-        return free(Rule(enter_rule(node.name))) and _reaches_var(node.body, var, free)
-    if t is Rec:
-        if node.var == var:  # inner binder shadows the variable we track
-            return False
-        return _reaches_var(node.body, var, free)
-    # rule atoms consume, checks are opaque atoms, units reach nothing
-    return False
+class _Positions:
+    # A tree's positions numbered in preorder, so every child comes after its
+    # parent and the numbers sort as paths do. binder[i] is the position of
+    # the Rec that a Var at i refers to lexically, else -1.
+
+    def __init__(self, s: Strategy):
+        self.nodes, self.parent, self.kids, self.binder = [], [], [], []
+        stack = [(s, -1, {})]
+        while stack:
+            node, up, scope = stack.pop()
+            i = len(self.nodes)
+            self.nodes.append(node)
+            self.parent.append(up)
+            self.kids.append([])
+            if up >= 0:
+                self.kids[up].append(i)
+            self.binder.append(scope.get(node.name, -1) if type(node) is Var else -1)
+            if type(node) is Rec:
+                scope = {**scope, node.var: i}
+            below = children_of(node)
+            for k in range(len(below) - 1, -1, -1):
+                stack.append((below[k], i, scope))
+
+    def finding(self, i: int, kind: str, detail: str, certainty: str = "definite"):
+        path = []
+        while i > 0:
+            path.append(self.kids[self.parent[i]].index(i))
+            i = self.parent[i]
+        return LintFinding(kind, tuple(reversed(path)), detail, certainty)
+
+
+def _left_recursions(pos: _Positions, mode: str) -> list:
+    # Children first: is the node passable, and which variables does it reach
+    # at a first position. Both depend on the node alone, kept by identity.
+    if mode not in MODES:
+        raise ValueError("mode must be one of %s, got %r" % (MODES, mode))
+    free = _FREE[mode]
+    ok, reach, found = {}, {}, []
+    for i in range(len(pos.nodes) - 1, -1, -1):
+        node = pos.nodes[i]
+        t = type(node)
+        ok[id(node)] = passable(node, free, lambda child: ok[id(child)])
+        if t is Var:
+            names = frozenset((node.name,))
+        elif t is Seq:
+            left = id(node.left)
+            names = reach[left] | reach[id(node.right)] if ok[left] else reach[left]
+        elif t is Choice:
+            names = reach[id(node.left)] | reach[id(node.right)]
+        elif t is Label:
+            names = reach[id(node.body)] if free(_label_atoms(node)[0]) else _NONE
+        elif t is Rec:
+            names = reach[id(node.body)] - {node.var}
+            if node.var in reach[id(node.body)]:
+                found.append(pos.finding(i, "LeftRecursion", "binder %r can recurse before "
+                                         "consuming anything (%s mode)" % (node.var, mode)))
+        else:  # rule atoms consume, checks are opaque atoms, units reach nothing
+            names = _NONE
+        reach[id(node)] = names
+    return found[::-1]
+
+
+def _first_sets(pos: _Positions) -> list:
+    # Per position: passable (minor rules free, checks blocking), the major
+    # first rules, and the binders reached through variables at a first
+    # position (-1: an unbound one). A worklist finds the least fixed point:
+    # one sweep children first, then only positions whose child or binder grew.
+    nodes, kids, binder = pos.nodes, pos.kids, pos.binder
+    readers = [[p] if p >= 0 else [] for p in pos.parent]
+    for i, b in enumerate(binder):
+        if b >= 0:
+            readers[b].append(i)
+    value = [(False, _NONE, _NONE)] * len(nodes)
+    queued = [True] * len(nodes)
+    stack = list(range(len(nodes)))
+    while stack:
+        i = stack.pop()
+        queued[i] = False
+        t = type(nodes[i])
+        if t is Seq or t is Choice:
+            left, right = value[kids[i][0]], value[kids[i][1]]
+            new = left if t is Seq and not left[0] else (
+                (t is Choice and left[0]) or right[0], left[1] | right[1], left[2] | right[2])
+        elif t is Label or t is Rec:
+            new = value[kids[i][0]]
+        elif t is Var:
+            b = binder[i]
+            if b < 0:
+                new = (False, _NONE, _UNBOUND)
+            else:
+                passes, firsts, reached = value[b]
+                new = (passes, firsts, reached | {b})
+        elif t is Rule:
+            rule = nodes[i].rule
+            new = (rule.minor, _NONE if rule.minor else frozenset((rule.name,)), _NONE)
+        else:  # a check runs only when its guard fails, so it blocks its branch
+            new = (t is Succeed, _NONE, _NONE)
+        if new != value[i]:
+            value[i] = new
+            for r in readers[i]:
+                if not queued[r]:
+                    queued[r] = True
+                    stack.append(r)
+    return value
+
+
+def _left_factors(pos: _Positions) -> list:
+    value = _first_sets(pos)
+    cut = _UNBOUND | {b for b in pos.binder if b >= 0 and b in value[b][2]}
+    found = []
+    for i, node in enumerate(pos.nodes):
+        if type(node) is Choice:
+            (_, lfirsts, lreach), (_, rfirsts, rreach) = (value[k] for k in pos.kids[i])
+            lcut, rcut = not cut.isdisjoint(lreach), not cut.isdisjoint(rreach)
+            if lfirsts & rfirsts:
+                found.append(pos.finding(i, "LeftFactor", "both branches can start with %s"
+                                         % ", ".join(sorted(lfirsts & rfirsts))))
+            elif (lcut and (rfirsts or rcut)) or (rcut and lfirsts):
+                found.append(pos.finding(
+                    i, "LeftFactor", "first sets behind recursion were cut off at %d "
+                    "unrollings, overlap not ruled out" % FACTOR_MAX_UNROLL, "possible"))
+    return found
 
 
 def detect_left_recursion(s: Strategy, mode: str = "transparent") -> tuple:
     """Findings for every recursion binder its own variable can re-enter
     before anything was consumed."""
-    _check_mode(mode)
-    free = _FREE[mode]
-    findings = []
-    for path, node in walk(s):
-        if type(node) is Rec and _reaches_var(node.body, node.var, free):
-            findings.append(LintFinding(
-                kind="LeftRecursion",
-                path=path,
-                detail="binder %r can recurse before consuming anything (%s mode)"
-                       % (node.var, mode),
-            ))
-    return tuple(findings)
-
-
-# ---------------------------------------------------------------------------
-# left factors
-
-@dataclass(frozen=True)
-class _FirstInfo:
-    firsts: frozenset  # names of major rules that can open a sentence
-    passable: bool  # can the whole thing succeed without a major rule
-    truncated: bool  # the unroll bound cut the analysis short
-
-
-def _first_info(node: Strategy, bindings: dict, counters: dict) -> _FirstInfo:
-    t = type(node)
-    if t is Rule:
-        if node.rule.minor:
-            return _FirstInfo(frozenset(), True, False)
-        return _FirstInfo(frozenset((node.rule.name,)), False, False)
-    if t is Check:
-        # a checked branch runs only when its guard fails, so it cannot race
-        # the other branch; it contributes nothing and stops the scan
-        return _FirstInfo(frozenset(), False, False)
-    if t is Succeed:
-        return _FirstInfo(frozenset(), True, False)
-    if t is Fail:
-        return _FirstInfo(frozenset(), False, False)
-    if t is Seq:
-        left = _first_info(node.left, bindings, counters)
-        if not left.passable:
-            return left
-        right = _first_info(node.right, bindings, counters)
-        return _FirstInfo(left.firsts | right.firsts, right.passable,
-                          left.truncated or right.truncated)
-    if t is Choice:
-        left = _first_info(node.left, bindings, counters)
-        right = _first_info(node.right, bindings, counters)
-        return _FirstInfo(left.firsts | right.firsts,
-                          left.passable or right.passable,
-                          left.truncated or right.truncated)
-    if t is Label:
-        return _first_info(node.body, bindings, counters)
-    if t is Rec:
-        used = counters.get(node, 0)
-        if used >= FACTOR_MAX_UNROLL:
-            return _FirstInfo(frozenset(), False, True)
-        bumped = dict(counters)
-        bumped[node] = used + 1
-        inner = dict(bindings)
-        inner[node.var] = node
-        return _first_info(node.body, inner, bumped)
-    if t is Var:
-        rec = bindings.get(node.name)
-        if rec is None:
-            return _FirstInfo(frozenset(), False, True)
-        return _first_info(rec, bindings, counters)
-    raise TypeError("not a strategy node: %r" % (node,))
+    return tuple(_left_recursions(_Positions(s), mode))
 
 
 def detect_left_factors(s: Strategy) -> tuple:
-    """Findings for choices whose branches can open with the same major rule.
-
-    Only major rules are compared; minor navigation passes through and
-    applicability checks block their branch. First sets behind recursion are
-    computed up to a fixed unroll bound; when the bound cuts the analysis
-    short and an overlap can no longer be ruled out, the finding is reported
-    with certainty "possible" instead of being dropped.
-    """
-    findings = []
-    stack = [((), s, {})]
-    while stack:
-        path, node, bindings = stack.pop()
-        if type(node) is Rec:
-            bindings = dict(bindings)
-            bindings[node.var] = node
-        if type(node) is Choice:
-            left = _first_info(node.left, bindings, {})
-            right = _first_info(node.right, bindings, {})
-            common = left.firsts & right.firsts
-            if common:
-                findings.append(LintFinding(
-                    kind="LeftFactor",
-                    path=path,
-                    detail="both branches can start with %s"
-                           % ", ".join(sorted(common)),
-                ))
-            else:
-                left_open = bool(left.firsts) or left.truncated
-                right_open = bool(right.firsts) or right.truncated
-                if (left.truncated and right_open) or (right.truncated and left_open):
-                    findings.append(LintFinding(
-                        kind="LeftFactor",
-                        path=path,
-                        detail="first sets behind recursion were cut off at "
-                               "%d unrollings, overlap not ruled out" % FACTOR_MAX_UNROLL,
-                        certainty="possible",
-                    ))
-        kids = children_of(node)
-        for i in range(len(kids) - 1, -1, -1):
-            stack.append((path + (i,), kids[i], bindings))
-    findings.sort(key=lambda f: (f.path, f.kind))
-    return tuple(findings)
+    """Findings for choices whose branches can open with the same major rule:
+    "definite" when they share one, "possible" when one branch is cut and the
+    other has a first rule or is cut."""
+    return tuple(_left_factors(_Positions(s)))
 
 
 def lint_strategy(s: Strategy, mode: str = "transparent") -> LintReport:
-    """Run both analyses and combine the findings."""
-    _check_mode(mode)
-    findings = detect_left_recursion(s, mode) + detect_left_factors(s)
-    return LintReport(tuple(sorted(findings, key=lambda f: (f.path, f.kind, f.detail))))
+    """Run both analyses and combine the findings, in path order."""
+    pos = _Positions(s)
+    # both lists are in path order, and no choice shares its path with a binder
+    found = _left_recursions(pos, mode) + _left_factors(pos)
+    return LintReport(tuple(sorted(found, key=lambda f: f.path)))

@@ -4,13 +4,16 @@ split_unguarded shows the time-out that split's left-recursion guard
 prevents. run and recognize search whole derivations with big steps,
 language_upto enumerates a bounded language and majors_of projects its
 sentences onto major rules; accepts_empty is the syntactic minor-only
-emptiness test. plain_has_end_state and plain_minor_sentences search
+emptiness test. bounded_left_recursion and bounded_left_factors are lint's
+analyses as recursive walks that unroll each binder a bounded number of
+times. plain_has_end_state and plain_minor_sentences search
 without the engine's check plans, check-memo keys or pruning. The tests
 compare the engine against these.
 """
 
 from collections import deque
 
+from strategem.lint import _FREE, FACTOR_MAX_UNROLL, LintFinding
 from strategem.strategy import (
     APP_CHECK,
     SUCCEED,
@@ -30,15 +33,18 @@ from strategem.strategy import (
     Var,
     _seq_rest,
     big_step,
+    children_of,
     enter_rule,
     has_minor_completion,
     leave_rule,
     minor_passable,
     minor_sentences,
     nullable,
+    passable,
     split,
     state_sort_key,
     unroll,
+    walk,
 )
 
 DEFAULT_MAX_LEN = 32
@@ -256,3 +262,107 @@ def language_upto(s: Strategy, max_len: int = DEFAULT_MAX_LEN,
 def majors_of(sentence: tuple) -> tuple:
     """Project a sentence onto its major rule names, dropping minors and checks."""
     return tuple(a.rule.name for a in sentence if type(a) is Rule and not a.rule.minor)
+
+
+# ---------------------------------------------------------------------------
+# lint by bounded unrolling
+
+def _reaches_var(node: Strategy, var: str, free) -> bool:
+    # is Var(var) reachable at the leftmost consumable position?
+    t = type(node)
+    if t is Var:
+        return node.name == var
+    if t is Seq:
+        if _reaches_var(node.left, var, free):
+            return True
+        return passable(node.left, free) and _reaches_var(node.right, var, free)
+    if t is Choice:
+        return _reaches_var(node.left, var, free) or _reaches_var(node.right, var, free)
+    if t is Label:
+        return free(Rule(enter_rule(node.name))) and _reaches_var(node.body, var, free)
+    if t is Rec:
+        if node.var == var:  # inner binder shadows the variable we track
+            return False
+        return _reaches_var(node.body, var, free)
+    # rule atoms consume, checks are opaque atoms, units reach nothing
+    return False
+
+
+def bounded_left_recursion(s: Strategy, mode: str) -> tuple:
+    """lint.detect_left_recursion, one recursive walk per binder."""
+    free = _FREE[mode]
+    return tuple(
+        LintFinding(kind="LeftRecursion", path=path,
+                    detail="binder %r can recurse before consuming anything (%s mode)"
+                           % (node.var, mode))
+        for path, node in walk(s)
+        if type(node) is Rec and _reaches_var(node.body, node.var, free))
+
+
+def _first_info(node: Strategy, bindings: dict, counters: dict) -> tuple:
+    # (major first rules, passable without a major rule, cut short); a
+    # variable is looked up in the bindings in force where it is expanded,
+    # and each binder unrolls at most FACTOR_MAX_UNROLL times per path
+    t = type(node)
+    if t is Rule:
+        if node.rule.minor:
+            return frozenset(), True, False
+        return frozenset((node.rule.name,)), False, False
+    if t is Check or t is Fail:
+        return frozenset(), False, False
+    if t is Succeed:
+        return frozenset(), True, False
+    if t is Seq:
+        left = _first_info(node.left, bindings, counters)
+        if not left[1]:
+            return left
+        right = _first_info(node.right, bindings, counters)
+        return left[0] | right[0], right[1], left[2] or right[2]
+    if t is Choice:
+        left = _first_info(node.left, bindings, counters)
+        right = _first_info(node.right, bindings, counters)
+        return left[0] | right[0], left[1] or right[1], left[2] or right[2]
+    if t is Label:
+        return _first_info(node.body, bindings, counters)
+    if t is Rec:
+        used = counters.get(node, 0)
+        if used >= FACTOR_MAX_UNROLL:
+            return frozenset(), False, True
+        return _first_info(node.body, {**bindings, node.var: node},
+                           {**counters, node: used + 1})
+    if t is Var:
+        rec = bindings.get(node.name)
+        if rec is None:
+            return frozenset(), False, True
+        return _first_info(rec, bindings, counters)
+    raise TypeError("not a strategy node: %r" % (node,))
+
+
+def bounded_left_factors(s: Strategy) -> tuple:
+    """lint.detect_left_factors with first sets unrolled FACTOR_MAX_UNROLL
+    times per binder; a set the bound cut short makes a finding possible."""
+    findings = []
+    stack = [((), s, {})]
+    while stack:
+        path, node, bindings = stack.pop()
+        if type(node) is Rec:
+            bindings = {**bindings, node.var: node}
+        if type(node) is Choice:
+            lfirsts, _, lcut = _first_info(node.left, bindings, {})
+            rfirsts, _, rcut = _first_info(node.right, bindings, {})
+            common = lfirsts & rfirsts
+            if common:
+                findings.append(LintFinding(
+                    kind="LeftFactor", path=path,
+                    detail="both branches can start with %s" % ", ".join(sorted(common))))
+            elif (lcut and (rfirsts or rcut)) or (rcut and lfirsts):
+                findings.append(LintFinding(
+                    kind="LeftFactor", path=path,
+                    detail="first sets behind recursion were cut off at "
+                           "%d unrollings, overlap not ruled out" % FACTOR_MAX_UNROLL,
+                    certainty="possible"))
+        kids = children_of(node)
+        for i in range(len(kids) - 1, -1, -1):
+            stack.append((path + (i,), kids[i], bindings))
+    findings.sort(key=lambda f: (f.path, f.kind))
+    return tuple(findings)

@@ -1,5 +1,8 @@
 """Static strategy checks and the budget knobs they rely on."""
 
+import random
+import sys
+
 import pytest
 
 from strategem.exercise import write_as_power_of
@@ -13,7 +16,10 @@ from strategem.lint import (
 )
 from strategem.navigation import DOWNS, UP, down_rule
 from strategem.powers import ADD_EXP, DIST_EXP, MUL_EXP, parse
+from strategem.protocol import parse_term
 from strategem.strategy import (
+    FAIL,
+    SUCCEED,
     Budget,
     BudgetExceededError,
     Check,
@@ -29,7 +35,7 @@ from strategem.strategy import (
 )
 
 from conftest import initial
-from support import language_upto, majors_of, run
+from support import bounded_left_factors, bounded_left_recursion, language_upto, majors_of, run
 
 A = Rule(ADD_EXP)
 M = Rule(MUL_EXP)
@@ -170,6 +176,100 @@ def test_lint_strategy_combines_and_sorts():
         ((1,), "LeftRecursion", "definite"),
     ]
     assert all(isinstance(f, LintFinding) for f in report.findings)
+
+
+def test_variables_refer_to_their_lexical_binder():
+    # the inner binder reuses an outer name; the variable between them
+    # still means the outer binder, as unrolling (strategy._substitute) does
+    cases = {
+        "mu y . MulExp | (mu x . (y | (mu y . (x | AddExp))))":
+            ("definite", "both branches can start with AddExp, MulExp"),
+        "mu x . (MulExp | (mu y . (x | (mu x . (y | AddExp)))))":
+            ("definite", "both branches can start with AddExp, MulExp"),
+        "mu y . MulExp | (mu x . (y | (mu y . x)))":
+            ("definite", "both branches can start with MulExp"),
+    }
+    for text, (certainty, detail) in cases.items():
+        found = {f.path: (f.certainty, f.detail) for f in detect_left_factors(parse_term(text))}
+        assert found[(0, 1, 0)] == (certainty, detail), text
+
+
+def nested_binders(m):
+    """(mu x1 . (x1 | (mu x2 . (x1 | x2 | ... (mu xm . (x1 | ... | xm | AddExp))))))"""
+    text = "AddExp"
+    for j in range(m, 0, -1):
+        text = "(mu x%d . (%s | %s))" % (j, " | ".join("x%d" % k for k in range(1, j + 1)), text)
+    return text
+
+
+LEAVES = (A, M, D, Rule(UP), Rule(DOWNS), Rule(down_rule(0)), SUCCEED, FAIL)
+
+
+def random_strategy(rng, size, scope=()):
+    # about size nodes; a variable names an enclosing binder or none ("z"),
+    # and no binder reuses a name in scope, so scoping cannot matter
+    if size <= 1:
+        roll = rng.random()
+        if roll < 0.3 and scope:
+            return Var(rng.choice(scope))
+        return Var("z") if roll < 0.35 else rng.choice(LEAVES)
+    build = rng.randrange(6)
+    if build < 2:
+        cut = rng.randint(1, size - 1)
+        return (Seq, Choice)[build](random_strategy(rng, cut, scope),
+                                    random_strategy(rng, size - cut, scope))
+    if build == 2:
+        return Check(random_strategy(rng, size - 1, scope))
+    if build == 3:
+        return Label(rng.choice("lm"), random_strategy(rng, size - 1, scope))
+    names = [v for v in "xyw" if v not in scope]
+    if not names:
+        return random_strategy(rng, size - 1, scope)
+    v = rng.choice(names)
+    return Rec(v, random_strategy(rng, size - 1, scope + (v,)))
+
+
+def test_reports_equal_the_bounded_unrolling_oracle():
+    rng = random.Random(16)
+    corpus = [random_strategy(rng, rng.randint(1, 14)) for _ in range(3000)]
+    corpus += [parse_term(nested_binders(m)) for m in (1, 2, 3)]
+    seen = set()
+    for s in corpus:
+        factors = bounded_left_factors(s)
+        for mode in MODES:
+            expected = sorted(bounded_left_recursion(s, mode) + factors,
+                              key=lambda f: (f.path, f.kind, f.detail))
+            report = lint_strategy(s, mode).findings
+            assert report == tuple(expected), (s, mode)
+            seen.update((f.kind, f.certainty) for f in report)
+    assert seen == {("LeftRecursion", "definite"), ("LeftFactor", "definite"),
+                    ("LeftFactor", "possible")}
+
+
+class TooManyCalls(Exception):
+    pass
+
+
+def test_lint_work_is_linear_in_the_text():
+    for m in (4, 6, 8):
+        text = nested_binders(m)
+        s = parse_term(text)
+        bound = 20 * len(text)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+                if calls > bound:
+                    raise TooManyCalls("m=%d: over %d Python calls" % (m, bound))
+
+        sys.setprofile(count)
+        try:
+            report = lint_strategy(s)
+        finally:
+            sys.setprofile(None)
+        assert not report.clean
 
 
 # ---------------------------------------------------------------------------

@@ -534,12 +534,17 @@ def test_serve_answers_after_too_deep_or_too_long_input():
         req(service="diagnose", exercise="powerExercise", state=wire("a^14"),
             expression="a^" + "9" * 5000),
         req(service="ready", exercise="powerExercise", state=wire("a^14")),
+        # lint walks no strategy recursively, however wide or long
+        req(service="lint", strategy=" | ".join(["Up"] * 1000)),
+        req(service="lint", strategy=" | ".join(["Up"] * 3000)),
+        req(service="lint", strategy=" ; ".join(["Downs"] * 3000)),
     ]
     out = io.StringIO()
     serve(io.StringIO("\n".join(lines) + "\n"), out)
     answers = out.getvalue().splitlines()
     assert [error_code(a) for a in answers[:4]] == ["parse-error"] * 4
     assert answers[4] == '{"ok":{"ready":true}}'
+    assert answers[5:] == ['{"ok":{"clean":true,"findings":[]}}'] * 3
 
 
 def test_serve_answers_after_terms_too_big_to_solve():
