@@ -8,7 +8,6 @@ traversal strategies like somewhere and bottom_up are plain strategy trees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .strategy import (
@@ -18,7 +17,8 @@ from .strategy import (
     Rule,
     Strategy,
     Var,
-    cached_hash,
+    cells,
+    interned,
     orelse,
     seq,
 )
@@ -28,41 +28,46 @@ class NavigationError(Exception):
     """An explicit navigation request pointed outside the term."""
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Frame:
-    """One context layer: the original parent node and which child we entered."""
+    """One context layer: the original parent node and which child we
+    entered, over the layers above it (None at the root). Zippers share
+    their frames, so a move is O(1) however deep the focus."""
 
-    parent: Any
-    index: int
+    __slots__ = ("parent", "index", "below", "__weakref__")
+
+    def __repr__(self):
+        return "Frame(parent=%r, index=%r)" % (self.parent, self.index)
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Zipper:
     """A focused subterm with enough context to rebuild the root."""
 
-    focus: Any
-    context: tuple = ()  # innermost frame last
+    __slots__ = ("focus", "context", "__weakref__")  # context: innermost frame
+
+    def __repr__(self):
+        # state_sort_key orders states by repr, so keep the tuple of frames
+        return "Zipper(focus=%r, context=%r)" % (self.focus, cells(self.context))
+
+    @property
+    def path(self) -> tuple:
+        return tuple(frame.index for frame in cells(self.context))
 
     def with_focus(self, term) -> "Zipper":
         return Zipper(term, self.context)
 
-    @property
-    def path(self) -> tuple:
-        return tuple(frame.index for frame in self.context)
-
     def up(self) -> "Zipper":
-        if not self.context:
+        frame = self.context
+        if frame is None:
             raise NavigationError("already at the root")
-        frame = self.context[-1]
-        return Zipper(frame.parent.with_child(frame.index, self.focus), self.context[:-1])
+        return Zipper(frame.parent.with_child(frame.index, self.focus), frame.below)
 
     def down(self, index: int) -> "Zipper":
         kids = self.focus.children()
         if not 0 <= index < len(kids):
             raise NavigationError("no child %d at %r" % (index, self.focus))
-        return Zipper(kids[index], self.context + (Frame(self.focus, index),))
+        return Zipper(kids[index], Frame(self.focus, index, self.context))
 
     def left(self) -> "Zipper":
         return self._sibling(-1)
@@ -71,40 +76,37 @@ class Zipper:
         return self._sibling(1)
 
     def _sibling(self, offset: int) -> "Zipper":
-        if not self.context:
+        frame = self.context
+        if frame is None:
             raise NavigationError("the root has no siblings")
-        frame = self.context[-1]
         target = frame.index + offset
         # reroot through the updated parent so edits under the focus survive
         parent = frame.parent.with_child(frame.index, self.focus)
         kids = parent.children()
         if not 0 <= target < len(kids):
             raise NavigationError("no sibling at index %d" % target)
-        return Zipper(kids[target], self.context[:-1] + (Frame(parent, target),))
+        return Zipper(kids[target], Frame(parent, target, frame.below))
 
 
 def focus_root(term) -> Zipper:
-    return Zipper(term)
+    return Zipper(term, None)
 
 
 def unfocus(zipper: Zipper):
     """Rebuild the full term from a zipper."""
-    z = zipper
-    while z.context:
-        z = z.up()
-    return z.focus
+    term, frame = zipper.focus, zipper.context
+    while frame is not None:
+        term = frame.parent.with_child(frame.index, term)
+        frame = frame.below
+    return term
 
 
 def focus_at(zipper: Zipper, path: Iterable[int]) -> Zipper:
     """Refocus at a path of child indices, counted from the root."""
-    z = focus_to_root(zipper)
+    z = focus_root(unfocus(zipper))
     for index in path:
         z = z.down(index)
     return z
-
-
-def focus_to_root(zipper: Zipper) -> Zipper:
-    return Zipper(unfocus(zipper))
 
 
 def positions(term) -> tuple:
@@ -155,16 +157,15 @@ def _downs_transform(env, z):
 
 
 def _left_transform(env, z):
-    if z.context and z.context[-1].index > 0:
+    if z.context and z.context.index > 0:
         return ((env, z.left()),)
     return ()
 
 
 def _right_transform(env, z):
-    if z.context:
-        frame = z.context[-1]
-        if frame.index + 1 < len(frame.parent.children()):
-            return ((env, z.right()),)
+    frame = z.context
+    if frame and frame.index + 1 < len(frame.parent.children()):
+        return ((env, z.right()),)
     return ()
 
 

@@ -8,23 +8,21 @@ navigation never descends into them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .navigation import expr_rule
-from .strategy import cached_hash
+from .strategy import interned
 
 
 class Expr:
-    """Base class for power expressions."""
+    """Base class for power expressions, interned."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Var(Expr):
-    name: str
+    __slots__ = ("name",)
 
     def children(self):
         return ()
@@ -33,11 +31,9 @@ class Var(Expr):
         raise IndexError("variables have no children")
 
 
-@cached_hash
-@dataclass(frozen=True, repr=False)
+@interned
 class Power(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
 
     def __repr__(self):
         # the dataclass text; state_sort_key orders states by it
@@ -49,30 +45,27 @@ class Power(Expr):
     def with_child(self, index, child):
         if index != 0:
             raise IndexError("powers have a single child")
-        return Power(child, self.exponent)
+        return self if child is self.base else Power(child, self.exponent)
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = ("left", "right")
 
     def children(self):
         return (self.left, self.right)
 
     def with_child(self, index, child):
         if index == 0:
-            return Mul(child, self.right)
+            return self if child is self.left else Mul(child, self.right)
         if index == 1:
-            return Mul(self.left, child)
+            return self if child is self.right else Mul(self.left, child)
         raise IndexError("products have two children")
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Recip(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
     def children(self):
         return (self.arg,)
@@ -80,7 +73,7 @@ class Recip(Expr):
     def with_child(self, index, child):
         if index != 0:
             raise IndexError("reciprocals have a single child")
-        return Recip(child)
+        return self if child is self.arg else Recip(child)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +204,7 @@ def print_expr(e: Expr) -> str:
 def _add_exp(e: Expr) -> Iterator[Expr]:
     # a^x * a^y -> a^(x+y) for syntactically equal bases
     if (type(e) is Mul and type(e.left) is Power and type(e.right) is Power
-            and e.left.base == e.right.base):
+            and e.left.base is e.right.base):
         yield Power(e.left.base, e.left.exponent + e.right.exponent)
 
 
@@ -236,7 +229,7 @@ def _reci_exp(e: Expr) -> Iterator[Expr]:
 def _bug_add_exp(e: Expr) -> Iterator[Expr]:
     # the classic mistake: multiplying instead of adding the exponents
     if (type(e) is Mul and type(e.left) is Power and type(e.right) is Power
-            and e.left.base == e.right.base):
+            and e.left.base is e.right.base):
         yield Power(e.left.base, e.left.exponent * e.right.exponent)
 
 
@@ -257,7 +250,7 @@ def simplify_power(e: Expr) -> Expr:
     if type(e) is Power and type(e.base) is Power:
         return Power(e.base.base, e.base.exponent * e.exponent)
     if (type(e) is Mul and type(e.left) is Power and type(e.right) is Power
-            and e.left.base == e.right.base):
+            and e.left.base is e.right.base):
         return Power(e.left.base, e.left.exponent + e.right.exponent)
     if type(e) is Power and type(e.base) is Mul:
         # distributing can expose fresh redexes in both factors and then

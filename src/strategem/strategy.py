@@ -109,19 +109,58 @@ class Budget:
             )
 
 
-def cached_hash(cls):
-    # Strategy trees and states get hashed constantly (visited sets, caches);
-    # caching the hash in the instance dict keeps that O(1) after first use.
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(tuple(getattr(self, name) for name in self.__dataclass_fields__))
-            h = hash((cls.__name__, h))
-            self.__dict__["_hash"] = h
-        return h
+class _Entry(weakref.ref):
+    __slots__ = ("key",)  # so that its instance's death can remove it
 
-    cls.__hash__ = __hash__
+
+def interned(cls):
+    """Class decorator: one live instance per value (hash-consing).
+
+    cls(*fields) returns the live instance with those fields, if any, so
+    equality is identity and the hash is object's, O(1) at any depth. The
+    fields (cls._fields) are the __slots__ not starting with "_", instances
+    are immutable, and the repr is the dataclass text unless cls has its
+    own. A table holds each instance weakly under its key: the fields,
+    unless the class's __new__ passes another to cls._intern(key, fields).
+    A key that names a field by id stays unique while the instance holds it.
+    """
+    table = cls._table = {}
+    cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+    setters = [getattr(cls, name).__set__ for name in cls._fields]
+
+    def forget(entry):
+        if table.get(entry.key) is entry:
+            del table[entry.key]
+
+    def intern(key, fields):
+        entry = table.get(key)
+        if entry is not None:
+            obj = entry()
+            if obj is not None:
+                return obj
+        obj = object.__new__(cls)
+        for set_field, value in zip(setters, fields, strict=True):
+            set_field(obj, value)
+        entry = table[key] = _Entry(obj, forget)
+        entry.key = key
+        return obj
+
+    cls._intern = staticmethod(intern)
+    if cls.__new__ is object.__new__:
+        cls.__new__ = staticmethod(lambda _, *fields: intern(fields, fields))
+    if "__repr__" not in vars(cls):
+        cls.__repr__ = _dataclass_repr
+    cls.__setattr__ = cls.__delattr__ = _immutable
     return cls
+
+
+def _dataclass_repr(self):
+    return "%s(%s)" % (type(self).__qualname__, ", ".join(
+        "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+def _immutable(self, *_):
+    raise AttributeError("%s values are interned and immutable" % type(self).__name__)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -162,119 +201,107 @@ class RewriteRule:
 
 
 class Strategy:
-    """Base class for strategy tree nodes."""
+    """Base class for strategy tree nodes, interned. A node's __dict__ holds
+    the facts kept on it (_kept_on_node)."""
 
-    __slots__ = ()
+    __slots__ = ("__dict__", "__weakref__")
+
+    def __new__(cls, *fields):
+        # a key names node fields by id: a kept fact can refer back to its
+        # node (an unrolled Rec), so a key holding one could keep it alive
+        return cls._intern(tuple(f if type(f) is str else id(f) for f in fields), fields)
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Rule(Strategy):
-    rule: RewriteRule
+    __slots__ = ("rule",)
+
+    def __new__(cls, rule: RewriteRule):
+        # one atom per RewriteRule key, the rules' equality
+        return cls._intern(rule.key, (rule,))
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Check(Strategy):
     """Applicability check: succeeds exactly when the inner strategy has no run."""
 
-    inner: Strategy
+    __slots__ = ("inner",)
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Seq(Strategy):
-    left: Strategy
-    right: Strategy
+    __slots__ = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Choice(Strategy):
-    left: Strategy
-    right: Strategy
+    __slots__ = ("left", "right")
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Succeed(Strategy):
-    pass
+    __slots__ = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Fail(Strategy):
-    pass
+    __slots__ = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Label(Strategy):
-    name: str
-    body: Strategy
+    __slots__ = ("name", "body")
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Rec(Strategy):
     """Explicit fixed point: Var(var) inside body refers back to this node."""
 
-    var: str
-    body: Strategy
+    __slots__ = ("var", "body")
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Var(Strategy):
-    name: str
+    __slots__ = ("name",)
 
 
 SUCCEED = Succeed()
 FAIL = Fail()
 
 
+@interned
 class _Labels:
-    """One cell of a label stack. Cells share their tails, so a push is O(1)
-    however deep the stack, and the hash is computed once at construction."""
+    """One cell of a label stack, the top label over the cells below it.
+    Cells share their tails, so a push is O(1) however deep the stack."""
 
-    __slots__ = ("top", "below", "hash")
-
-    def __init__(self, top: str, below: Optional["_Labels"]):
-        self.top = top
-        self.below = below
-        self.hash = hash((top, below.hash if below is not None else 0))
-
-    def __hash__(self):
-        return self.hash
-
-    def __eq__(self, other):
-        # iterative, so deep stacks compare without deep recursion
-        a, b = self, other
-        while a is not b:
-            if (type(a) is not _Labels or type(b) is not _Labels
-                    or a.hash != b.hash or a.top != b.top):
-                return False
-            a, b = a.below, b.below
-        return True
+    __slots__ = ("top", "below", "__weakref__")
 
 
-@cached_hash
-@dataclass(frozen=True, repr=False)
+def cells(top) -> tuple:
+    """The cells of a stack whose cells link down through .below, from the
+    bottom up to top; () for None."""
+    out = []
+    while top is not None:
+        out.append(top)
+        top = top.below
+    return tuple(out[::-1])
+
+
+@interned
 class Environment:
     """Finite string-to-string map plus the stack of entered labels."""
 
-    bindings: tuple = ()  # sorted (key, value) pairs
-    labels: Optional[_Labels] = None  # innermost label on top
+    # bindings: sorted (key, value) pairs; labels: innermost label on top
+    __slots__ = ("bindings", "labels", "__weakref__")
+
+    def __new__(cls, bindings: tuple = (), labels: Optional[_Labels] = None):
+        key = (bindings, labels)
+        return cls._intern(key, key)
 
     @property
     def label_path(self) -> tuple:
         """The entered labels, outermost first."""
-        out = []
-        cell = self.labels
-        while cell is not None:
-            out.append(cell.top)
-            cell = cell.below
-        return tuple(reversed(out))
+        return tuple(cell.top for cell in cells(self.labels))
 
     def __repr__(self):
         # state_sort_key orders states by repr, so keep the tuple form
@@ -303,14 +330,19 @@ class Environment:
         return Environment(self.bindings, self.labels.below)
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
+@dataclass(eq=False, init=False)
 class State:
     """One point of an exercise: environment, focused term, remaining strategy."""
 
+    __slots__ = ("env", "focus", "remaining", "__weakref__")
     env: Environment
     focus: Any
     remaining: Strategy
+
+    def __new__(cls, env, focus, remaining):
+        key = (env, focus, remaining)
+        return cls._intern(key, key)
 
 
 def state_sort_key(state: State) -> str:
@@ -361,41 +393,25 @@ def repeat(s: Strategy) -> Strategy:
 
 
 def _substitute(node: Strategy, var: str, replacement: Strategy) -> Strategy:
+    # rebuilds each node it passes; interning gives back an unchanged one
     t = type(node)
     if t is Var:
         return replacement if node.name == var else node
-    if t is Rec:
-        if node.var == var:  # inner binder shadows
-            return node
-        body = _substitute(node.body, var, replacement)
-        return node if body is node.body else Rec(node.var, body)
-    if t is Seq or t is Choice:
-        left = _substitute(node.left, var, replacement)
-        right = _substitute(node.right, var, replacement)
-        if left is node.left and right is node.right:
-            return node
-        return t(left, right)
-    if t is Label:
-        body = _substitute(node.body, var, replacement)
-        return node if body is node.body else Label(node.name, body)
-    if t is Check:
-        # checks capture variables too (try/repeat put the binder inside one)
-        inner = _substitute(node.inner, var, replacement)
-        return node if inner is node.inner else Check(inner)
-    return node
+    if t is Rule or (t is Rec and node.var == var):  # an inner binder shadows
+        return node
+    # checks capture variables too (try/repeat put the binder inside one)
+    return t(*(_substitute(f, var, replacement) if isinstance(f, Strategy) else f
+               for f in map(node.__getattribute__, t._fields)))
 
 
 def _kept_on_node(fn):
-    # fn(s), computed on first use and kept in s's own dict as cached_hash
-    # keeps _hash, so it dies with s; for strategy nodes and exercises. The
-    # hash goes in first: CPython shares one key table among the instance
-    # dicts of a class only while each instance adds its keys in one order
+    # fn(s), computed on first use and kept in s's own dict, so it dies with
+    # s; for strategy nodes and exercises
     slot = "_" + fn.__name__
 
     def wrapper(s):
         d = s.__dict__
         if slot not in d:
-            hash(s)
             d[slot] = fn(s)
         return d[slot]
 
@@ -539,7 +555,7 @@ def total(s: Strategy) -> bool:
     if t is Choice:
         r = s.right
         return total(s.left) or total(r) or (
-            type(r) is Seq and r.left == Check(s.left) and total(r.right))
+            type(r) is Seq and r.left is Check(s.left) and total(r.right))
     if t is Rec:
         return total(s.body)
     return False
@@ -596,9 +612,9 @@ def check_plan(check: Check) -> tuple:
 
 def _seq_rest(left: Strategy, right: Strategy) -> Strategy:
     # remainders absorb the unit so they match hand-written strategies
-    if left is SUCCEED or left == SUCCEED:
+    if left is SUCCEED:
         return right
-    if right is SUCCEED or right == SUCCEED:
+    if right is SUCCEED:
         return left
     return Seq(left, right)
 
@@ -609,17 +625,10 @@ def _label_atoms(label: Label) -> tuple:
     return Rule(enter_rule(label.name)), Rule(leave_rule(label.name))
 
 
-class _KeptSplits(weakref.WeakSet):
-    # The nodes split has worked on, each added on its first split; an entry
-    # dies with its node. The engine never reads it: it is there to be
-    # counted. A node is in it when it keeps a split itself, not when an
-    # equal node does, so membership is a hit of split on that very node.
-
-    def __contains__(self, s):
-        return "__split" in getattr(s, "__dict__", ())  # _split's slot
-
-
-_split_cache = _KeptSplits()
+# The nodes split has worked on; an entry dies with its node. The engine
+# never reads it: it is there to be counted, and a node is in it exactly
+# when it keeps its split.
+_split_cache = weakref.WeakSet()
 
 
 def split(s: Strategy) -> tuple:
@@ -664,6 +673,7 @@ def _split(s: Strategy):
                 return node.var
             stack.append((unroll(node), cont, visiting | {node}))
         elif t is Var:
+            _split_cache.discard(s)
             raise ValueError("unbound strategy variable %r" % node.name)
         # Succeed and Fail have no splits
     return tuple(out)
@@ -870,18 +880,9 @@ def big_step(state: State, budget: Budget = None) -> list:
 # ---------------------------------------------------------------------------
 # tree utilities
 
-_CHILD_FIELDS = {
-    Seq: ("left", "right"),
-    Choice: ("left", "right"),
-    Check: ("inner",),
-    Label: ("body",),
-    Rec: ("body",),
-}
-
-
 def children_of(s: Strategy) -> tuple:
-    fields = _CHILD_FIELDS.get(type(s), ())
-    return tuple(getattr(s, f) for f in fields)
+    """The fields of s that are strategy nodes, in order."""
+    return tuple(f for f in map(s.__getattribute__, s._fields) if isinstance(f, Strategy))
 
 
 def walk(s: Strategy) -> Iterator[tuple]:

@@ -564,6 +564,25 @@ def test_serve_answers_after_terms_too_big_to_solve():
     assert answers[3] == '{"ok":{"ready":true}}'
 
 
+def test_flat_strategies_of_any_width_get_a_real_answer():
+    # interned nodes hash in O(1), so no strategy is walked recursively for
+    # its hash: a 3,000-atom sequence or choice is searched like a short one
+    choice_ref = {"term": " | ".join(["AddExp"] * 3000)}
+    lines = [
+        req(service="allfirsts", exercise="powerExercise", state=wire("a^2*a^3", ref=choice_ref)),
+        req(service="allfirsts", exercise="powerExercise",
+            state=wire("a^2*a^3", ref={"term": " ; ".join(["Downs"] * 3000)})),
+        req(service="lint", strategy="l: (%s)" % " | ".join(["Up"] * 3000)),
+    ]
+    out = io.StringIO()
+    serve(io.StringIO("\n".join(lines) + "\n"), out)
+    wide, long_, label = [json.loads(a) for a in out.getvalue().splitlines()]
+    [candidate] = wide["ok"]["candidates"]
+    assert candidate["rule"] == "AddExp" and candidate["state"]["expr"] == "a^5"
+    assert long_ == {"ok": {"candidates": []}}
+    assert label == {"ok": {"clean": True, "findings": []}}
+
+
 def test_serve_gives_a_fixed_message_for_an_exponent_too_long_to_print():
     # MulExp makes an exponent of about 6,000 digits, past MAX_EXPONENT_DIGITS
     big = "(a^" + "7" * 3000 + ")^" + "3" * 3000
@@ -830,11 +849,14 @@ def test_the_strategy_memo_changes_no_answer_and_no_cost(lines, stored, size, mo
 
 
 def test_requests_on_one_text_share_one_tree_and_its_splits():
+    # a label of its own: T alone parses to the exercise's own strategy,
+    # which earlier tests have split
+    text = "share: " + T
     registry = default_registry()
-    handle_request(req(service="lint", strategy=T), registry)
+    handle_request(req(service="lint", strategy=text), registry)
     [tree] = registry.terms.values()
     assert tree not in strategy._split_cache
-    for line in on(T, "allfirsts", "derivation"):
+    for line in on(text, "allfirsts", "derivation"):
         handle_request(line, registry)
     assert list(registry.terms.values()) == [tree] and tree in strategy._split_cache
 

@@ -1,6 +1,7 @@
 """Feedback services: hints, derivations, free application, diagnosis."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -158,6 +159,30 @@ def test_the_k16_product_derives_within_40000_transitions():
     budget = Budget(40_000)
     steps = services.derivation(EX, services.initial_state(EX, term), budget)
     assert len(steps) == 16 and services.ready(EX, steps[-1].state)
+
+
+def test_work_per_transition_does_not_grow_with_term_depth():
+    # Python calls per transition of onefirst on a^2*a^2*...: every zipper
+    # move and every hash is O(1) at any depth. A product stays below the
+    # depth at which the per-level recursion of the search meets Python's
+    # recursion limit.
+    per_transition = {}
+    for factors in (25, 150):
+        state = start("*".join(["a^2"] * factors))
+        budget = Budget()
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            services.onefirst(EX, state, budget)
+        finally:
+            sys.setprofile(None)
+        per_transition[factors] = calls / budget.used
+    assert per_transition[150] <= 1.25 * per_transition[25], per_transition
 
 
 def test_derivation_of_a_finished_term_is_empty():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from strategem import navigation, powers
 from strategem.navigation import (
     DOWNS,
     RIGHT,
@@ -27,6 +28,7 @@ from strategem.strategy import (
     BudgetExceededError,
     Check,
     Choice,
+    Environment,
     Label,
     LeftRecursionError,
     Rec,
@@ -183,6 +185,24 @@ def test_an_analysed_strategy_is_freed_once_dropped():
     assert [ref() for ref in dropped] == [None, None]
 
 
+def test_intern_tables_shrink_back_once_values_are_dropped():
+    # one object per value, held weakly: a dropped term, zipper, state and
+    # recursive strategy leave no entry behind, even once analysed and run
+    classes = (powers.Var, powers.Power, powers.Mul, navigation.Frame, navigation.Zipper,
+               Environment, State, Rule, Seq, Choice, Label, Rec, Var)
+    gc.collect()
+    before = [len(cls._table) for cls in classes]
+    term = parse("(fresh^2*fresh^3)^4*fresh")
+    zipper = focus_at(navigation.focus_root(term), (0, 0))
+    s = Rec("fresh", Choice(Label("fresh", Seq(Rule(DOWNS), Seq(Var("fresh"), Rule(UP)))), A))
+    state = State(Environment().push_label("fresh"), zipper, s)
+    assert big_step_traced(state) and nullable(unroll(s)) is False
+    assert all(len(cls._table) > n for cls, n in zip(classes, before))
+    del term, zipper, s, state
+    gc.collect()  # a Rec keeps its unrolling, which refers back to it
+    assert [len(cls._table) for cls in classes] == before
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -243,12 +263,12 @@ def test_split_is_kept_on_its_node_and_freed_with_it():
     s, equal = repeat(Label("l", own)), repeat(Label("l", own))
     assert s not in _split_cache
     pairs = split(s)
-    assert s in _split_cache and equal not in _split_cache
+    assert s in _split_cache and equal is s and equal in _split_cache
     assert split(s) is pairs
     gc.collect()
     entries = len(_split_cache)
     dropped = weakref.ref(s)
-    del s, pairs
+    del s, equal, pairs
     gc.collect()  # a Rec keeps its unrolling, which refers back to it
     assert dropped() is None
     assert len(_split_cache) < entries
